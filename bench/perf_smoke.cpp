@@ -15,13 +15,20 @@
 // continuous_traffic) inherits.  On a single-core runner the speedup is ~1;
 // the field still tracks driver overhead.
 //
+// Each row runs in a forked child, so its peak RSS is that row's own peak
+// rather than the largest peak of every row measured before it.
+//
 // Usage: perf_smoke [out.json]   (default BENCH_perf_smoke.json)
 
 #include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <chrono>  // lint-ok: wall-clock
 #include <cstdio>
+#include <cstdlib>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "cluster/catalog.h"
@@ -42,7 +49,7 @@ double peak_rss_mib() {
 }
 
 struct Row {
-  std::string scheduler;
+  exp::SchedulerKind scheduler = exp::SchedulerKind::kEAnt;
   std::size_t nodes = 0;
   std::size_t jobs = 0;
   std::size_t tasks = 0;
@@ -73,7 +80,7 @@ Row measure(exp::SchedulerKind kind, std::size_t nodes) {
   const auto t1 = std::chrono::steady_clock::now();  // lint-ok: wall-clock
 
   Row r;
-  r.scheduler = exp::scheduler_kind_name(kind);
+  r.scheduler = kind;
   r.nodes = nodes;
   r.jobs = static_cast<std::size_t>(jobs);
   const exp::RunMetrics m = run.metrics();
@@ -93,6 +100,55 @@ Row measure(exp::SchedulerKind kind, std::size_t nodes) {
       r.heartbeats > 0 ? r.select_job_wall_s * 1e6 /
                              static_cast<double>(r.heartbeats)
                        : 0.0;
+  return r;
+}
+
+// A row crosses the pipe from the measuring child as raw bytes.
+static_assert(std::is_trivially_copyable_v<Row>);
+
+[[noreturn]] void die(const char* what) {
+  std::perror(what);
+  std::exit(1);
+}
+
+/// measure() in a forked child, which sends its row back over a pipe.  The
+/// parent never runs a simulation, so each child starts from the same small
+/// footprint and its ru_maxrss is the peak of this row alone.
+Row measure_in_child(exp::SchedulerKind kind, std::size_t nodes) {
+  int fds[2];
+  if (pipe(fds) != 0) die("pipe");
+  std::fflush(stdout);
+  const pid_t pid = fork();
+  if (pid < 0) die("fork");
+  if (pid == 0) {
+    close(fds[0]);
+    const Row r = measure(kind, nodes);
+    const char* p = reinterpret_cast<const char*>(&r);
+    std::size_t left = sizeof r;
+    while (left > 0) {
+      const ssize_t n = write(fds[1], p, left);
+      if (n <= 0) _exit(1);
+      p += n;
+      left -= static_cast<std::size_t>(n);
+    }
+    _exit(0);
+  }
+  close(fds[1]);
+  Row r;
+  char* p = reinterpret_cast<char*>(&r);
+  std::size_t got = 0;
+  while (got < sizeof r) {
+    const ssize_t n = read(fds[0], p + got, sizeof r - got);
+    if (n <= 0) break;
+    got += static_cast<std::size_t>(n);
+  }
+  close(fds[0]);
+  int status = 0;
+  if (waitpid(pid, &status, 0) != pid || !WIFEXITED(status) ||
+      WEXITSTATUS(status) != 0 || got != sizeof r) {
+    std::fprintf(stderr, "perf_smoke: measuring child failed\n");
+    std::exit(1);
+  }
   return r;
 }
 
@@ -151,13 +207,13 @@ int main(int argc, char** argv) {
   for (const exp::SchedulerKind kind :
        {exp::SchedulerKind::kEAnt, exp::SchedulerKind::kCapacity}) {
     for (std::size_t nodes : {16, 64, 256}) {
-      rows.push_back(measure(kind, nodes));
+      rows.push_back(measure_in_child(kind, nodes));
       const Row& r = rows.back();
       std::printf(
           "%-8s nodes=%3zu jobs=%3zu tasks=%6zu events=%9llu wall=%6.2fs "
           "events/s=%9.0f rss=%6.1f MiB select/hb=%6.2fus\n",
-          r.scheduler.c_str(), r.nodes, r.jobs, r.tasks,
-          static_cast<unsigned long long>(r.events), r.wall_seconds,
+          exp::scheduler_kind_name(r.scheduler).c_str(), r.nodes, r.jobs,
+          r.tasks, static_cast<unsigned long long>(r.events), r.wall_seconds,
           r.events_per_sec, r.peak_rss_mib, r.select_us_per_heartbeat);
     }
   }
@@ -186,8 +242,9 @@ int main(int argc, char** argv) {
                  "\"heartbeats\": %llu, \"select_job_calls\": %llu, "
                  "\"select_job_wall_s\": %.4f, "
                  "\"select_us_per_heartbeat\": %.3f}%s\n",
-                 r.scheduler.c_str(), r.nodes, r.jobs, r.tasks,
-                 static_cast<unsigned long long>(r.events), r.sim_makespan,
+                 exp::scheduler_kind_name(r.scheduler).c_str(), r.nodes,
+                 r.jobs, r.tasks, static_cast<unsigned long long>(r.events),
+                 r.sim_makespan,
                  r.wall_seconds, r.events_per_sec, r.peak_rss_mib,
                  static_cast<unsigned long long>(r.heartbeats),
                  static_cast<unsigned long long>(r.select_job_calls),

@@ -55,6 +55,10 @@
 
 namespace eant::audit {
 
+/// Hard ceiling for pheromone values: anything above this (or non-finite)
+/// means a deposit computation exploded.
+inline constexpr double kPheromoneCeiling = 1e12;
+
 /// Auditor tunables.
 struct AuditConfig {
   /// Master switch consulted by the Run harness (the EANT_AUDIT environment
@@ -63,22 +67,6 @@ struct AuditConfig {
 
   /// Throw InvariantError at the first violation instead of aggregating.
   bool abort_on_violation = false;
-
-  /// Relative / absolute tolerance for the end-of-run energy cross-check.
-  /// The two integrals run the same arithmetic in a different association
-  /// order, so only accumulated rounding separates them.
-  double energy_rel_tol = 1e-6;
-  Joules energy_abs_tol = 1e-3;
-
-  /// Tolerance (MB, relative to flow size) for flow byte conservation.
-  /// Delivered bytes lag the requested total by at most one rate * dt
-  /// rounding step when the completion event fires.
-  double flow_rel_tol = 1e-6;
-  Megabytes flow_abs_tol = 1e-6;
-
-  /// Hard ceiling for pheromone values: anything above this (or non-finite)
-  /// means a deposit computation exploded.
-  double pheromone_ceiling = 1e12;
 };
 
 /// True iff the EANT_AUDIT environment variable requests auditing

@@ -10,14 +10,47 @@
 
 namespace eant::core {
 
+namespace {
+
+/// Initial pheromone of every trail, and the scale deposits are centred on.
+constexpr double kTauInit = 1.0;
+
+/// Sec. VI-C convergence definition.
+constexpr double kStabilityThreshold = 0.8;
+
+/// Guards Eq. 5 ratios.
+constexpr Joules kEnergyFloor = 1.0;
+
+/// Floor of the slot-acceptance probability (see select_job): even the
+/// worst-ranked machine keeps exploring occasionally, the acceptance-side
+/// analogue of the tau floor.
+constexpr double kMinAcceptance = 0.05;
+
+/// Exponent sharpening the slot-acceptance probability.  A machine whose
+/// slots turn over faster is offered tasks more often, which counteracts
+/// proportional routing; sharpening restores the pheromone ratio's
+/// authority over placement.
+constexpr double kAcceptanceSharpness = 3.0;
+
+/// Acceptance floor when the sampled job has a node-local pending split
+/// on the offering machine: Eq. 7 ranks locality above everything, and a
+/// declined local slot usually turns into a remote read elsewhere, so
+/// local offers decline only half-heartedly.
+constexpr double kLocalAcceptanceFloor = 0.5;
+
+/// Acceptance floor for a rack-local offer on a multi-rack topology —
+/// between the node-local floor and kMinAcceptance, because a declined
+/// rack-local slot risks a cross-rack read over the oversubscribed
+/// uplink.  Inert with one flat rack.
+constexpr double kRackLocalAcceptanceFloor = 0.25;
+
+}  // namespace
+
 EAntScheduler::EAntScheduler(EnergyModel model, Rng rng, EAntConfig config)
     : model_(std::move(model)), rng_(rng), config_(config) {
   EANT_CHECK(config.control_interval > 0.0,
              "control interval must be positive");
   EANT_CHECK(config.beta >= 0.0, "beta must be non-negative");
-  EANT_CHECK(config.slow_completion_beta == 0.0 ||  // lint-ok: float-eq
-                 config.slow_completion_beta >= 1.0,
-             "slow-completion beta must be 0 (off) or >= 1");
 }
 
 void EAntScheduler::attach(mr::JobTracker& job_tracker) {
@@ -27,8 +60,8 @@ void EAntScheduler::attach(mr::JobTracker& job_tracker) {
   EANT_CHECK(model_.num_machines() >= machines,
              "energy model lacks parameters for some machines");
   table_ = std::make_unique<PheromoneTable>(machines, config_.rho,
-                                            config_.tau_init, config_.tau_min);
-  convergence_ = ConvergenceTracker(config_.stability_threshold);
+                                            kTauInit, config_.tau_min);
+  convergence_ = ConvergenceTracker(kStabilityThreshold);
   estimated_per_machine_.assign(machines, 0.0);
   jt_->simulator().schedule_periodic(config_.control_interval, [this] {
     control_tick();
@@ -55,19 +88,6 @@ void EAntScheduler::on_task_completed(const mr::TaskReport& report) {
   auto& counts = interval_counts_[report.spec.job];
   if (counts.empty()) counts.assign(jt_->cluster().size(), 0);
   ++counts[report.machine];
-
-  if (config_.slow_completion_beta > 0.0) {
-    // Anomalously slow completion (a limping machine's signature): treat it
-    // as negative path evidence right away, one evaporation step like a
-    // failure.  The mean includes this report, biasing conservatively.
-    const auto& js = jt_->job(report.spec.job);
-    const Seconds mean = js.mean_completed_duration(report.spec.kind);
-    if (mean > 0.0 &&
-        report.duration() > config_.slow_completion_beta * mean) {
-      table_->penalize(report.spec.job, report.spec.kind, report.machine,
-                       1.0 - config_.rho);
-    }
-  }
 }
 
 void EAntScheduler::on_tracker_lost(cluster::MachineId machine) {
@@ -105,10 +125,9 @@ void EAntScheduler::on_master_recovered(std::uint64_t /*epoch*/) {
     }
   } else {
     // Amnesia ablation: the trail died with the master.  Every live colony
-    // restarts at tau_init, and the class priors are gone too.
+    // restarts at kTauInit, and the class priors are gone too.
     table_ = std::make_unique<PheromoneTable>(
-        table_->num_machines(), config_.rho, config_.tau_init,
-        config_.tau_min);
+        table_->num_machines(), config_.rho, kTauInit, config_.tau_min);
   }
   // Colonies submitted after the snapshot (under amnesia, all of them) need
   // fresh trails before the next heartbeat samples them.
@@ -144,7 +163,7 @@ void EAntScheduler::control_tick() {
   ++intervals_;
   if (!interval_reports_.empty()) {
     DeltaMap deposits = compute_deposits(
-        interval_reports_, jt_->cluster().size(), config_.energy_floor);
+        interval_reports_, jt_->cluster().size(), kEnergyFloor);
     if (config_.machine_exchange) {
       deposits = machine_level_exchange(deposits, jt_->cluster());
     }
@@ -157,7 +176,7 @@ void EAntScheduler::control_tick() {
     if (config_.negative_feedback) {
       deposits = apply_negative_feedback(deposits, class_key);
     }
-    deposits = center_deposits(deposits, config_.tau_init);
+    deposits = center_deposits(deposits, kTauInit);
     table_->apply(deposits);
   }
 
@@ -188,7 +207,7 @@ void EAntScheduler::audit_pheromone_bounds() {
   // non-finite tau means a deposit computation diverged.  Tiny slack under
   // the floor absorbs the clamp's own rounding.
   const double lo = table_->tau_min() * (1.0 - 1e-12);
-  const double hi = auditor_->config().pheromone_ceiling;
+  const double hi = audit::kPheromoneCeiling;
   for (mr::JobId job : jt_->active_jobs()) {
     if (!table_->has_job(job)) continue;
     for (mr::TaskKind kind : {mr::TaskKind::kMap, mr::TaskKind::kReduce}) {
@@ -289,12 +308,12 @@ std::optional<mr::JobId> EAntScheduler::select_job(cluster::MachineId machine,
     const double best = table_->row_max(*choice, kind);
     EANT_ASSERT(best > 0.0, "pheromone trail must stay positive");
     const double normalized = table_->tau(*choice, kind, machine) / best;
-    double floor = config_.min_acceptance;
+    double floor = kMinAcceptance;
     if (kind == mr::TaskKind::kMap) {
       if (jt_->job(*choice).has_local_pending_map(machine)) {
-        floor = std::max(floor, config_.local_acceptance_floor);
+        floor = std::max(floor, kLocalAcceptanceFloor);
       } else if (jt_->job(*choice).has_rack_local_pending_map(machine)) {
-        floor = std::max(floor, config_.rack_local_acceptance_floor);
+        floor = std::max(floor, kRackLocalAcceptanceFloor);
       }
     }
     if (!has_trade) {
@@ -305,7 +324,7 @@ std::optional<mr::JobId> EAntScheduler::select_job(cluster::MachineId machine,
       floor = std::max(floor, occupancy * occupancy);
     }
     const double steered = std::clamp(
-        std::pow(normalized, config_.acceptance_sharpness), floor, 1.0);
+        std::pow(normalized, kAcceptanceSharpness), floor, 1.0);
     if (rng_.uniform() <= steered) return choice;
     candidates.erase(std::find(candidates.begin(), candidates.end(), *choice));
   }

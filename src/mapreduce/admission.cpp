@@ -9,6 +9,27 @@
 
 namespace eant::mr {
 
+namespace {
+
+/// Deadlined jobs face an EDF slack test: estimated queue wait (backlog *
+/// mean task time / slots) plus one task time, scaled by this margin, must
+/// fit before the deadline.
+constexpr double kFeasibilityMargin = 1.0;
+
+/// Backoff: delay = min(base * 2^attempt, cap) * (1 + jitter*u) with u
+/// uniform in [0,1) from the dedicated retry stream.
+constexpr Seconds kAdmissionRetryBase = 30.0;
+constexpr Seconds kAdmissionRetryCap = 480.0;
+constexpr double kAdmissionRetryJitter = 0.5;
+
+static_assert(kAdmissionRetryBase > 0.0 &&
+                  kAdmissionRetryCap >= kAdmissionRetryBase,
+              "admission retry backoff must be positive and capped above base");
+static_assert(kAdmissionRetryJitter >= 0.0,
+              "admission retry jitter must be >= 0");
+
+}  // namespace
+
 const char* overload_state_name(OverloadState s) {
   switch (s) {
     case OverloadState::kNormal:
@@ -42,14 +63,14 @@ const char* admission_verdict_name(AdmissionVerdict v) {
 OverloadDetector::OverloadDetector(const AdmissionConfig& cfg) : cfg_(cfg) {}
 
 int OverloadDetector::classify(double scale) const {
-  if (backlog_ >= cfg_.critical_backlog * scale) return 3;
-  if (backlog_ >= cfg_.saturated_backlog * scale ||
-      (occ_ >= cfg_.elevated_occupancy * scale &&
-       slack_ >= cfg_.slack_pressure_threshold * scale)) {
+  if (backlog_ >= kCriticalBacklog * scale) return 3;
+  if (backlog_ >= kSaturatedBacklog * scale ||
+      (occ_ >= kElevatedOccupancy * scale &&
+       slack_ >= kSlackPressureThreshold * scale)) {
     return 2;
   }
-  if (occ_ >= cfg_.elevated_occupancy * scale ||
-      backlog_ >= cfg_.elevated_backlog * scale) {
+  if (occ_ >= kElevatedOccupancy * scale ||
+      backlog_ >= kElevatedBacklog * scale) {
     return 1;
   }
   return 0;
@@ -73,7 +94,7 @@ OverloadState OverloadDetector::fold(double occupancy, double backlog_per_slot,
     // Escalate immediately: the point of protection is reacting before the
     // backlog compounds.
     level_ = target;
-  } else if (classify(cfg_.hysteresis) < level_) {
+  } else if (classify(kOverloadHysteresis) < level_) {
     // De-escalate one level per tick, and only once the smoothed signals
     // clear the hysteresis floor — brownout measures restore in reverse
     // order of shedding, without flapping at a threshold.
@@ -135,12 +156,10 @@ AdmissionVerdict AdmissionControl::decide(const workload::JobSpec& spec,
   //    task service time already overruns the deadline would only be
   //    admitted to miss — reject it now so the client can back off.  Needs
   //    at least one observed task duration to estimate with.
-  if (cfg_.deadline_feasibility && spec.has_deadline() && task_samples_ > 0 &&
-      total_slots > 0) {
+  if (spec.has_deadline() && task_samples_ > 0 && total_slots > 0) {
     const double est_wait = static_cast<double>(pending_tasks) * task_s_ewma_ /
                             static_cast<double>(total_slots);
-    if (now + (est_wait + task_s_ewma_) * cfg_.feasibility_margin >
-        spec.deadline) {
+    if (now + (est_wait + task_s_ewma_) * kFeasibilityMargin > spec.deadline) {
       return AdmissionVerdict::kInfeasible;
     }
   }
@@ -194,8 +213,9 @@ bool AdmissionControl::note_rejection(const workload::JobSpec& spec,
   // verdict, so the stream's consumption order is a pure function of the
   // rejection sequence.
   const double factor = std::pow(2.0, static_cast<double>(attempt));
-  const Seconds backoff = std::min(cfg_.retry_base * factor, cfg_.retry_cap);
-  *retry_delay = backoff * (1.0 + cfg_.retry_jitter * retry_rng_.uniform());
+  const Seconds backoff =
+      std::min(kAdmissionRetryBase * factor, kAdmissionRetryCap);
+  *retry_delay = backoff * (1.0 + kAdmissionRetryJitter * retry_rng_.uniform());
   ++led.retries;
   if (auditor_ != nullptr) {
     auditor_->record(audit::Record::kJobRetry,

@@ -12,7 +12,7 @@
 //    classified into Normal / Elevated / Saturated / Critical with
 //    hysteresis: escalation is immediate, de-escalation decays one level per
 //    tick and only when the smoothed signals clear a fraction
-//    (AdmissionConfig::hysteresis) of the escalation thresholds.  Every
+//    (kOverloadHysteresis) of the escalation thresholds.  Every
 //    state transition is an audit::Record, so flapping shows up in digests.
 //
 //  * AdmissionControl::decide — runs at JobTracker::submit time.  Per-tenant
@@ -66,6 +66,34 @@ struct AdmissionTenantPolicy {
   double weight = 1.0;
 };
 
+/// Escalation thresholds of the overload detector, evaluated against the
+/// smoothed signals.  Occupancy is 1 - free_slots/total_slots in [0,1].
+/// Backlog is total outstanding demand in task waves per slot — (running +
+/// pending tasks) / slots — so 1.0 means exactly full, 1.25 means a
+/// quarter-wave queued on top, 2.5 means every slot has well over a full
+/// extra wave waiting.  Demand, not queue length alone, because weighted
+/// queue bounds cap the queued fraction themselves: a threshold on the
+/// bounded queue would leave the brownout reactions permanently dormant.
+/// Slack pressure is the fraction of active deadlined jobs whose estimated
+/// wait already overruns their deadline.
+inline constexpr double kElevatedOccupancy = 0.9;
+inline constexpr double kElevatedBacklog = 1.0;
+inline constexpr double kSaturatedBacklog = 1.25;
+inline constexpr double kCriticalBacklog = 2.5;
+inline constexpr double kSlackPressureThreshold = 0.5;
+
+/// De-escalation hysteresis: to leave a level, the smoothed signals must
+/// drop below hysteresis * the escalation threshold; the level then decays
+/// one step per tick (so recovery restores brownout measures in reverse
+/// order of shedding).
+inline constexpr double kOverloadHysteresis = 0.7;
+
+static_assert(kOverloadHysteresis > 0.0 && kOverloadHysteresis <= 1.0,
+              "admission hysteresis must lie in (0, 1]");
+static_assert(kElevatedBacklog <= kSaturatedBacklog &&
+                  kSaturatedBacklog <= kCriticalBacklog,
+              "admission backlog thresholds must be ordered");
+
 /// Tunables for the overload-protection subsystem.  Defaults are inert:
 /// enabled = false means no detector events, no RNG consumption, and
 /// digests identical to a build without the subsystem.
@@ -83,38 +111,10 @@ struct AdmissionConfig {
   /// sample); 1.0 = no smoothing.
   double ewma_alpha = 0.3;
 
-  /// Escalation thresholds, evaluated against the smoothed signals.
-  /// Occupancy is 1 - free_slots/total_slots in [0,1].  Backlog is total
-  /// outstanding demand in task waves per slot — (running + pending tasks) /
-  /// slots — so 1.0 means exactly full, 1.25 means a quarter-wave queued on
-  /// top, 2.5 means every slot has well over a full extra wave waiting.
-  /// Demand, not queue length alone, because weighted queue bounds cap the
-  /// queued fraction themselves: a threshold on the bounded queue would
-  /// leave the brownout reactions permanently dormant.  Slack pressure is
-  /// the fraction of active deadlined jobs whose estimated wait already
-  /// overruns their deadline.
-  double elevated_occupancy = 0.9;
-  double elevated_backlog = 1.0;
-  double saturated_backlog = 1.25;
-  double critical_backlog = 2.5;
-  double slack_pressure_threshold = 0.5;
-
-  /// De-escalation hysteresis: to leave a level, the smoothed signals must
-  /// drop below hysteresis * the escalation threshold; the level then decays
-  /// one step per tick (so recovery restores brownout measures in reverse
-  /// order of shedding).
-  double hysteresis = 0.7;
-
   // --- admission control ------------------------------------------------------
 
   /// Admitted-but-unfinished jobs allowed per unit of tenant weight.
   double queue_bound_per_weight = 8.0;
-
-  /// Reject deadlined jobs whose EDF slack test fails: estimated queue wait
-  /// (backlog * mean task time / slots) plus one task time, scaled by
-  /// feasibility_margin, must fit before the deadline.
-  bool deadline_feasibility = true;
-  double feasibility_margin = 1.0;
 
   /// Per-tenant weights; unlisted tenants get weight 1.0.
   std::vector<AdmissionTenantPolicy> tenants;
@@ -123,12 +123,6 @@ struct AdmissionConfig {
 
   /// Retries before a rejected job is dropped for good.
   int max_retries = 5;
-
-  /// Backoff: delay = min(retry_base * 2^attempt, retry_cap) * (1 + jitter*u)
-  /// with u uniform in [0,1) from the dedicated retry stream.
-  Seconds retry_base = 30.0;
-  Seconds retry_cap = 480.0;
-  double retry_jitter = 0.5;
 
   /// Seed of the retry-backoff RNG stream.  0 = the Run harness substitutes
   /// the run seed, so retries are deterministic per run yet independent of

@@ -11,6 +11,71 @@
 
 namespace eant::mr {
 
+namespace {
+
+/// Effective per-reduce shuffle bandwidth (many small fetches over the
+/// shared network, far below NIC line rate).
+///
+/// LEGACY FALLBACK: when no network fabric is attached (RunConfig without
+/// a topology), shuffle time is this fixed scalar regardless of how many
+/// transfers share the wire.  With a fabric attached it instead becomes
+/// the per-flow application-level rate cap, so link contention — not this
+/// constant — determines the actual shuffle time.
+constexpr double kShuffleMbps = 20.0;
+
+/// Bandwidth of a map task's remote split read when scheduled non-locally
+/// (the Fig. 6 penalty).  Effective rate, well below NIC line speed:
+/// remote reads compete with shuffle traffic and the source disk.
+///
+/// LEGACY FALLBACK: same dual role as kShuffleMbps — fixed scalar cost
+/// without a fabric, per-flow rate cap with one.
+constexpr double kRemoteReadMbps = 10.0;
+
+/// Per-flow rate cap of HDFS replication-pipeline writes of reduce
+/// output.  Only used when a fabric is attached (the legacy scalar model
+/// never charged for replication traffic).
+constexpr double kReplicationWriteMbps = 40.0;
+
+/// A task is a straggler once its elapsed time exceeds this multiple of
+/// the mean completed-task duration of its job and kind.
+constexpr double kSpeculativeStragglerBeta = 1.5;
+
+/// A quarantined node re-earns work once its health climbs back above
+/// this (hysteresis above the entry threshold).
+constexpr double kHealthRecoveryThreshold = 0.75;
+
+/// Cap of the exponential fetch-retry backoff (see
+/// JobTrackerConfig::fetch_retry_backoff).
+constexpr Seconds kFetchRetryBackoffMax = 160.0;
+
+/// A reduce task that accumulates this many failed fetches without ever
+/// completing a shuffle FAILS its attempt (burning budget) instead of
+/// being killed and relaunched for free — Hadoop's shuffle-retry suicide.
+/// Without it a pathological fetch-failure regime livelocks: attempts are
+/// KILLED (free) and re-shuffled forever while map outputs thrash between
+/// declared-lost and re-executed.  The strike counter survives kills and
+/// relaunches of the same reduce and resets only when a shuffle lands or
+/// an attempt is charged, so four hopeless shuffles end the job loudly.
+/// 0 disables the limit.
+constexpr int kReduceFetchAbortLimit = 12;
+
+/// Concurrent block re-replication streams the NameNode may keep in
+/// flight (Hadoop's dfs.max-repl-streams analogue).
+constexpr int kMaxReplicationStreams = 4;
+
+/// Per-flow rate cap of block re-replication traffic (same scale as the
+/// other application-level caps).
+constexpr double kRereplicationMbps = 40.0;
+
+static_assert(kShuffleMbps > 0.0 && kRemoteReadMbps > 0.0,
+              "bandwidths must be positive");
+static_assert(kReduceFetchAbortLimit >= 0,
+              "reduce fetch abort limit must be non-negative");
+static_assert(kMaxReplicationStreams >= 1 && kRereplicationMbps > 0.0,
+              "re-replication parameters must be positive");
+
+}  // namespace
+
 JobTracker::JobTracker(sim::Simulator& sim, cluster::Cluster& cluster,
                        hdfs::NameNode& namenode, Scheduler& scheduler,
                        NoiseModel& noise, JobTrackerConfig config)
@@ -25,8 +90,6 @@ JobTracker::JobTracker(sim::Simulator& sim, cluster::Cluster& cluster,
              "NameNode and Cluster must agree on machine count");
   EANT_CHECK(config_.reduce_slowstart >= 0.0 && config_.reduce_slowstart <= 1.0,
              "reduce_slowstart must be a fraction");
-  EANT_CHECK(config_.shuffle_mbps > 0.0 && config_.remote_read_mbps > 0.0,
-             "bandwidths must be positive");
   EANT_CHECK(config_.tracker_expiry_window >= 0.0,
              "tracker expiry window must be non-negative");
   EANT_CHECK(config_.max_attempts >= 1, "tasks need at least one attempt");
@@ -40,8 +103,7 @@ JobTracker::JobTracker(sim::Simulator& sim, cluster::Cluster& cluster,
   EANT_CHECK(config_.quarantine_threshold >= 0.0 &&
                  config_.quarantine_threshold < 1.0,
              "quarantine threshold must lie in [0, 1)");
-  EANT_CHECK(config_.health_recovery_threshold >=
-                 config_.quarantine_threshold,
+  EANT_CHECK(kHealthRecoveryThreshold >= config_.quarantine_threshold,
              "recovery threshold must not sit below the quarantine threshold");
   EANT_CHECK(config_.health_min_samples >= 1,
              "health detection needs at least one sample");
@@ -52,13 +114,8 @@ JobTracker::JobTracker(sim::Simulator& sim, cluster::Cluster& cluster,
   EANT_CHECK(config_.fetch_failure_threshold >= 0,
              "fetch failure threshold must be non-negative");
   EANT_CHECK(config_.fetch_retry_backoff > 0.0 &&
-                 config_.fetch_retry_backoff_max >= config_.fetch_retry_backoff,
+                 kFetchRetryBackoffMax >= config_.fetch_retry_backoff,
              "fetch retry backoff must be positive and capped above the base");
-  EANT_CHECK(config_.reduce_fetch_abort_limit >= 0,
-             "reduce fetch abort limit must be non-negative");
-  EANT_CHECK(config_.max_replication_streams >= 1 &&
-                 config_.rereplication_mbps > 0.0,
-             "re-replication parameters must be positive");
   EANT_CHECK(config_.checkpoint_interval >= 0.0 &&
                  config_.checkpoint_write_cost >= 0.0,
              "checkpoint parameters must be non-negative");
@@ -71,18 +128,10 @@ JobTracker::JobTracker(sim::Simulator& sim, cluster::Cluster& cluster,
              "admission detector interval must be positive");
   EANT_CHECK(adm.ewma_alpha > 0.0 && adm.ewma_alpha <= 1.0,
              "admission EWMA weight must lie in (0, 1]");
-  EANT_CHECK(adm.hysteresis > 0.0 && adm.hysteresis <= 1.0,
-             "admission hysteresis must lie in (0, 1]");
-  EANT_CHECK(adm.elevated_backlog <= adm.saturated_backlog &&
-                 adm.saturated_backlog <= adm.critical_backlog,
-             "admission backlog thresholds must be ordered");
   EANT_CHECK(adm.queue_bound_per_weight > 0.0,
              "admission queue bound must be positive");
   EANT_CHECK(adm.max_retries >= 0, "admission retry budget must be >= 0");
-  EANT_CHECK(adm.retry_base > 0.0 && adm.retry_cap >= adm.retry_base,
-             "admission retry backoff must be positive and capped above base");
-  EANT_CHECK(adm.retry_jitter >= 0.0, "admission retry jitter must be >= 0");
-  rerep_limit_ = config_.max_replication_streams;
+  rerep_limit_ = kMaxReplicationStreams;
   scheduler_.attach(*this);
 }
 
@@ -104,9 +153,9 @@ void JobTracker::start_trackers() {
     const double frac =
         std::fmod(0.6180339887498949 * static_cast<double>(id + 1), 1.0);
     trackers_.push_back(std::make_unique<TaskTracker>(
-        sim_, cluster_.machine(id), *this, noise_, config_.heartbeat_interval,
+        sim_, cluster_.machine(id), *this, noise_, kHeartbeatInterval,
         type.map_slots, type.reduce_slots,
-        frac * config_.heartbeat_interval));
+        frac * kHeartbeatInterval));
     total_capability += type.cores * type.cpu_factor;
   }
   capability_share_.resize(cluster_.size());
@@ -125,7 +174,7 @@ void JobTracker::start_trackers() {
     // one sweep per heartbeat interval bounds detection latency at
     // expiry_window + heartbeat_interval.  The same sweep drives the
     // blacklist fault-counter decay and quarantine healing.
-    expiry_event_ = sim_.schedule_periodic(config_.heartbeat_interval, [this] {
+    expiry_event_ = sim_.schedule_periodic(kHeartbeatInterval, [this] {
       if (!master_up_) return true;  // a dead master detects nothing
       check_tracker_expiry();
       decay_blacklist_counters();
@@ -331,7 +380,7 @@ void JobTracker::apply_overload_state(OverloadState state) {
   } else if (state >= OverloadState::kSaturated) {
     rerep_limit_ = 1;
   } else {
-    rerep_limit_ = config_.max_replication_streams;
+    rerep_limit_ = kMaxReplicationStreams;
   }
   scheduler_.on_overload_state(state);
   // A raised throttle may unblock queued block copies immediately.
@@ -545,7 +594,7 @@ void JobTracker::update_node_health(TaskTracker& tracker) {
     // finish) — but the scheduler must stop feeding it.
     scheduler_.on_tracker_lost(m);
   } else if (ts.quarantined &&
-             ts.health > config_.health_recovery_threshold) {
+             ts.health > kHealthRecoveryThreshold) {
     ts.quarantined = false;
     ts.health_samples = 0;
     maybe_rejoin(m);
@@ -568,7 +617,7 @@ void JobTracker::decay_quarantine() {
     // quarantine analogue of blacklist-counter halving) so the node is
     // eventually retried.  A still-limping node re-quarantines quickly.
     ts.health += 0.5 * (1.0 - ts.health);
-    if (ts.health > config_.health_recovery_threshold) {
+    if (ts.health > kHealthRecoveryThreshold) {
       ts.quarantined = false;
       ts.health_samples = 0;
       maybe_rejoin(m);
@@ -611,7 +660,7 @@ void JobTracker::try_speculate(TaskTracker& tracker, TaskKind kind) {
       if (js.status(kind, i) != TaskStatus::kRunning) continue;
       if (js.is_speculative(kind, i)) continue;
       const Seconds elapsed = now - js.task_start_time(kind, i);
-      if (elapsed <= config_.speculative_straggler_beta * mean) continue;
+      if (elapsed <= kSpeculativeStragglerBeta * mean) continue;
       // Only worthwhile if a fresh attempt here is expected to beat the
       // original.
       const TaskSpec& spec = js.task(kind, i);
@@ -712,7 +761,7 @@ void JobTracker::launch(JobState& js, TaskKind kind, TaskIndex index,
     // block), so the job eventually fails instead of silently succeeding.
     // No noise draws — lost-block handling must not perturb healthy streams.
     const TaskSpec& spec = js.task(kind, index);
-    const Seconds duration = config_.heartbeat_interval;
+    const Seconds duration = kHeartbeatInterval;
     js.mark_started(kind, index, mid, sim_.now());
     tracker.start_task(spec, duration, false, 0.5 * duration);
     return;
@@ -762,11 +811,9 @@ void JobTracker::launch_with_fabric(JobState& js, TaskKind kind,
   // the legacy order (straggler, then duration) so both paths consume the
   // same RNG stream.
   double mult = 1.0;
-  if (config_.contention_slowdown) {
-    const double projected =
-        (machine.demand_cores() + spec.cpu_demand) / machine.type().cores;
-    if (projected > 1.0) mult = projected;
-  }
+  const double projected =
+      (machine.demand_cores() + spec.cpu_demand) / machine.type().cores;
+  if (projected > 1.0) mult = projected;
   mult *= noise_.straggler_multiplier();
   mult *= noise_.duration_multiplier();
 
@@ -798,9 +845,9 @@ void JobTracker::launch_with_fabric(JobState& js, TaskKind kind,
   Seconds transfer_fallback = 0.0;
 
   if (kind == TaskKind::kMap && locality != Locality::kNodeLocal) {
-    transfer_fallback = spec.input_mb / config_.remote_read_mbps;
+    transfer_fallback = spec.input_mb / kRemoteReadMbps;
     if (const auto src = pick_replica_source(spec.block, m)) {
-      plan.push_back({*src, spec.input_mb, config_.remote_read_mbps / mult,
+      plan.push_back({*src, spec.input_mb, kRemoteReadMbps / mult,
                       net::TransferClass::kRemoteRead});
       transfer_fallback = 0.0;
     }
@@ -975,8 +1022,7 @@ void JobTracker::handle_fetch_failure(const OwnedFlow& of,
   // forever, and the run livelocks.
   int& strikes = reduce_fetch_strikes_[{of.key.job, of.key.index}];
   ++strikes;
-  if (config_.reduce_fetch_abort_limit > 0 &&
-      strikes >= config_.reduce_fetch_abort_limit) {
+  if (kReduceFetchAbortLimit > 0 && strikes >= kReduceFetchAbortLimit) {
     reduce_fetch_strikes_.erase({of.key.job, of.key.index});
     fail_fetching_attempt(of.key);
     return;
@@ -994,7 +1040,7 @@ void JobTracker::handle_fetch_failure(const OwnedFlow& of,
   const int exponent = std::max(fs.failures - 1, 0);
   const Seconds backoff =
       std::min(config_.fetch_retry_backoff * std::pow(2.0, exponent),
-               config_.fetch_retry_backoff_max);
+               kFetchRetryBackoffMax);
   auto tit = transfers_.find(of.key);
   EANT_ASSERT(tit != transfers_.end(), "fetch failure without transfer state");
   ++tit->second.pending_retries;
@@ -1088,7 +1134,7 @@ void JobTracker::fail_fetching_attempt(const TransferKey& key) {
   TaskTracker& t = *trackers_[key.machine];
   EANT_ASSERT(t.alive() && t.is_running(key.job, key.kind, key.index),
               "fetch-aborting an attempt that is no longer running");
-  const Seconds duration = config_.heartbeat_interval;
+  const Seconds duration = kHeartbeatInterval;
   t.begin_compute(key.job, key.kind, key.index, duration, 0.5 * duration);
 }
 
@@ -1236,7 +1282,7 @@ void JobTracker::apply_datanode_mark(cluster::MachineId machine, bool dead) {
 
 void JobTracker::pump_rereplication() {
   if (!namenode_up_) return;  // the work queue lives in the NameNode
-  // rerep_limit_ is the brownout throttle: max_replication_streams under
+  // rerep_limit_ is the brownout throttle: kMaxReplicationStreams under
   // Normal/Elevated, 1 under Saturated, 0 under Critical (background block
   // copies yield their bandwidth and slots to the backlog); restored by
   // apply_overload_state as the detector decays.
@@ -1261,7 +1307,7 @@ void JobTracker::pump_rereplication() {
     ++rerep_active_;
     if (fabric_ != nullptr) {
       const net::FlowId fid = fabric_->start_flow(
-          work->source, target, mb, config_.rereplication_mbps,
+          work->source, target, mb, kRereplicationMbps,
           net::TransferClass::kReplication,
           [this, block, target, mb](net::FlowId f) {
             finish_rereplication(f, block, target, mb);
@@ -1272,7 +1318,7 @@ void JobTracker::pump_rereplication() {
       rerep_flows_[fid] = block;
     } else {
       // Legacy scalar model: the copy just takes size / rate seconds.
-      sim_.schedule_after(mb / config_.rereplication_mbps,
+      sim_.schedule_after(mb / kRereplicationMbps,
                           [this, block, target, mb] {
                             finish_rereplication(0, block, target, mb);
                           });
@@ -1291,6 +1337,12 @@ void JobTracker::finish_rereplication(net::FlowId id, hdfs::BlockId block,
   if (namenode_.is_local(block, target)) {
     ++rereplicated_blocks_;
     rereplication_mb_ += mb;
+    // The fresh bytes replace any undetected rot this node still held for
+    // the block (add_replica cleared its marker).
+    if (auto lit = corrupt_injected_at_.find({block, target});
+        lit != corrupt_injected_at_.end()) {
+      lit->second.overwritten = true;
+    }
     // A registered copy of a block with confirmed-corrupt history settles
     // one detection in the repair ledger (copies are fungible: whichever
     // under-replication put the block on the queue, the new clean replica
@@ -1332,7 +1384,7 @@ void JobTracker::inject_corruption(cluster::MachineId machine,
   // lands on is a no-op, so the injected counter never double-books.
   if (!namenode_.corrupt_replica(target, machine)) return;
   ++corruptions_injected_;
-  corrupt_injected_at_[{target, machine}] = sim_.now();
+  corrupt_injected_at_[{target, machine}] = {sim_.now(), false};
 }
 
 cluster::MachineId JobTracker::preferred_replica(
@@ -1370,7 +1422,8 @@ void JobTracker::confirm_corruption(hdfs::BlockId block,
   ++corruptions_detected_;
   if (auto it = corrupt_injected_at_.find({block, node});
       it != corrupt_injected_at_.end()) {
-    corruption_detection_latencies_.push_back(sim_.now() - it->second);
+    corruption_detection_latencies_.push_back(sim_.now() -
+                                              it->second.injected_at);
     corrupt_injected_at_.erase(it);
   }
   if (auditor_) {
@@ -1454,11 +1507,12 @@ void JobTracker::finalize_corruption() {
   // Undetected injections stay latent: either the marker still sits on a
   // live replica, or the rotten replica evaporated with its node before
   // anything read it.  A live replica whose marker vanished would mean the
-  // checksum state was silently cleared — a ledger violation.
+  // checksum state was silently cleared — a ledger violation, unless a
+  // re-replicated copy overwrote the rot after its node rejoined.
   corruptions_latent_ = corrupt_injected_at_.size();
   if (auditor_ == nullptr) return;
-  for (const auto& [key, t] : corrupt_injected_at_) {
-    (void)t;
+  for (const auto& [key, entry] : corrupt_injected_at_) {
+    if (entry.overwritten) continue;
     if (namenode_.is_local(key.first, key.second) &&
         !namenode_.replica_corrupt(key.first, key.second)) {
       auditor_->report_violation(
@@ -1599,7 +1653,7 @@ void JobTracker::start_replication_flows(const JobState& js,
       std::min(namenode_.replication() - 1,
                static_cast<int>(cluster_.size()) - 1);
   if (copies >= 1) {
-    fabric_->start_flow(m, *second, out_mb, config_.replication_write_mbps,
+    fabric_->start_flow(m, *second, out_mb, kReplicationWriteMbps,
                         net::TransferClass::kReplication, nullptr);
   }
   if (copies >= 2) {
@@ -1616,7 +1670,7 @@ void JobTracker::start_replication_flows(const JobState& js,
     }
     if (third) {
       fabric_->start_flow(*second, *third, out_mb,
-                          config_.replication_write_mbps,
+                          kReplicationWriteMbps,
                           net::TransferClass::kReplication, nullptr);
     }
   }
@@ -1635,7 +1689,7 @@ void JobTracker::note_legacy_network() {
                  "[eant] note: no network topology configured; network costs "
                  "use the legacy scalar bandwidths (shuffle %.1f MB/s, "
                  "remote read %.1f MB/s)\n",
-                 config_.shuffle_mbps, config_.remote_read_mbps);
+                 kShuffleMbps, kRemoteReadMbps);
   }
 }
 
@@ -1648,14 +1702,14 @@ Seconds JobTracker::base_duration(const TaskSpec& spec,
   Seconds base =
       machine.type().task_runtime(spec.cpu_ref_seconds, spec.io_mb);  // lint-ok: machine-speed
   if (spec.kind == TaskKind::kMap && locality != Locality::kNodeLocal) {
-    base += spec.input_mb / config_.remote_read_mbps;
+    base += spec.input_mb / kRemoteReadMbps;
   }
   base += spec.shuffle_seconds;
-  if (config_.contention_slowdown) {
-    const double projected =
-        (machine.demand_cores() + spec.cpu_demand) / machine.type().cores;
-    if (projected > 1.0) base *= projected;
-  }
+  // CPU oversubscription: when aggregate demand exceeds the core count,
+  // new tasks run proportionally slower.
+  const double projected =
+      (machine.demand_cores() + spec.cpu_demand) / machine.type().cores;
+  if (projected > 1.0) base *= projected;
   EANT_ASSERT(base > 0.0, "task duration must be positive");
   return base;
 }
@@ -1700,7 +1754,7 @@ void JobTracker::maybe_build_reduces(JobState& js) {
   const Megabytes per_reduce = total_output / n;
   const double penalty = shuffle_skew_penalty(js);
   const Seconds shuffle_time =
-      per_reduce * penalty / config_.shuffle_mbps;
+      per_reduce * penalty / kShuffleMbps;
 
   std::vector<TaskSpec> reduces;
   reduces.reserve(static_cast<std::size_t>(n));

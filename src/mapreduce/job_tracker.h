@@ -41,42 +41,15 @@ class InvariantAuditor;
 
 namespace eant::mr {
 
+/// TaskTracker heartbeat / utilisation sampling period (Hadoop default).
+inline constexpr Seconds kHeartbeatInterval = 3.0;
+
 /// Tunables of the MapReduce engine (defaults follow the paper's setup).
 struct JobTrackerConfig {
-  /// TaskTracker heartbeat / utilisation sampling period (Hadoop default).
-  Seconds heartbeat_interval = 3.0;
-
-  /// Effective per-reduce shuffle bandwidth (many small fetches over the
-  /// shared network, far below NIC line rate).
-  ///
-  /// LEGACY FALLBACK: when no network fabric is attached (RunConfig without
-  /// a topology), shuffle time is this fixed scalar regardless of how many
-  /// transfers share the wire.  With a fabric attached it instead becomes
-  /// the per-flow application-level rate cap, so link contention — not this
-  /// constant — determines the actual shuffle time.
-  double shuffle_mbps = 20.0;
-
-  /// Bandwidth of a map task's remote split read when scheduled non-locally
-  /// (the Fig. 6 penalty).  Effective rate, well below NIC line speed:
-  /// remote reads compete with shuffle traffic and the source disk.
-  ///
-  /// LEGACY FALLBACK: same dual role as shuffle_mbps — fixed scalar cost
-  /// without a fabric, per-flow rate cap with one.
-  double remote_read_mbps = 10.0;
-
-  /// Per-flow rate cap of HDFS replication-pipeline writes of reduce
-  /// output.  Only used when a fabric is attached (the legacy scalar model
-  /// never charged for replication traffic).
-  double replication_write_mbps = 40.0;
-
   /// Fraction of a job's maps that must finish before its reduces become
   /// schedulable.  1.0 = reduces wait for all maps (shuffle is folded into
   /// the reduce runtime).
   double reduce_slowstart = 1.0;
-
-  /// Model CPU oversubscription: when aggregate demand exceeds the core
-  /// count, new tasks run proportionally slower.
-  bool contention_slowdown = true;
 
   /// Weight of the map-placement-skew penalty on shuffle time (the effect
   /// Tarazu's communication-aware balancing mitigates); 0 disables.
@@ -86,10 +59,6 @@ struct JobTrackerConfig {
   /// 1.2.1 setup): when a machine has a free slot and no pending work, a
   /// straggling attempt may be duplicated there; the first to finish wins.
   bool speculative_execution = true;
-
-  /// A task is a straggler once its elapsed time exceeds this multiple of
-  /// the mean completed-task duration of its job and kind.
-  double speculative_straggler_beta = 1.5;
 
   /// Hardened speculation: rank straggler candidates by estimated remaining
   /// time derived from their observed progress rate (LATE's heuristic)
@@ -149,10 +118,6 @@ struct JobTrackerConfig {
   /// progress rate is exactly 1.0, so the score never moves fault-free.
   double quarantine_threshold = 0.55;
 
-  /// A quarantined node re-earns work once its health climbs back above
-  /// this (hysteresis above the entry threshold).
-  double health_recovery_threshold = 0.75;
-
   /// Heartbeats carrying progress samples required before the health score
   /// is trusted enough to quarantine (guards against one noisy window).
   int health_min_samples = 4;
@@ -172,28 +137,8 @@ struct JobTrackerConfig {
 
   /// Base delay before a failed fetch is retried; doubles per consecutive
   /// failure from the same source (exponential backoff), capped at
-  /// fetch_retry_backoff_max.
+  /// kFetchRetryBackoffMax.
   Seconds fetch_retry_backoff = 10.0;
-  Seconds fetch_retry_backoff_max = 160.0;
-
-  /// A reduce task that accumulates this many failed fetches without ever
-  /// completing a shuffle FAILS its attempt (burning budget) instead of
-  /// being killed and relaunched for free — Hadoop's shuffle-retry suicide.
-  /// Without it a pathological fetch-failure regime livelocks: attempts are
-  /// KILLED (free) and re-shuffled forever while map outputs thrash between
-  /// declared-lost and re-executed.  The strike counter survives kills and
-  /// relaunches of the same reduce and resets only when a shuffle lands or
-  /// an attempt is charged, so four hopeless shuffles end the job loudly.
-  /// 0 disables the limit.
-  int reduce_fetch_abort_limit = 12;
-
-  /// Concurrent block re-replication streams the NameNode may keep in
-  /// flight (Hadoop's dfs.max-repl-streams analogue).
-  int max_replication_streams = 4;
-
-  /// Per-flow rate cap of block re-replication traffic (same scale as the
-  /// other application-level caps).
-  double rereplication_mbps = 40.0;
 
   // --- control-plane fault tolerance -------------------------------------------
 
@@ -292,10 +237,6 @@ class JobTracker {
 
   /// Non-null once attach_fabric() was called.
   net::Fabric* fabric() { return fabric_; }
-
-  /// True iff a task launch actually used the scalar-bandwidth fallback
-  /// (i.e. modelled network traffic without a fabric attached).
-  bool used_legacy_network() const { return legacy_network_noted_; }
 
   /// Flows restarted from a different source because theirs crashed.
   std::size_t retransferred_flows() const { return retransferred_flows_; }
@@ -463,7 +404,7 @@ class JobTracker {
   std::size_t fetch_reexecuted_maps() const { return fetch_reexecuted_maps_; }
 
   /// Reduce attempts that FAILED after exhausting their per-attempt fetch
-  /// budget (reduce_fetch_abort_limit) — the escape hatch that turns a
+  /// budget (kReduceFetchAbortLimit) — the escape hatch that turns a
   /// hopeless shuffle into a loud job failure instead of a livelock.
   std::size_t fetch_aborted_attempts() const { return fetch_aborted_attempts_; }
 
@@ -590,10 +531,6 @@ class JobTracker {
   /// Fencing epoch, bumped at every master recovery.  Reports from trackers
   /// registered under an older epoch are buffered until re-registration.
   std::uint64_t master_epoch() const { return master_epoch_; }
-
-  /// Durable coverage time of the last committed checkpoint; -1 = none.  An
-  /// in-flight attempt survives failover iff it launched at or before this.
-  Seconds checkpoint_coverage() const { return checkpoint_coverage_; }
 
   /// Control-plane (JobTracker + NameNode) process deaths observed.
   std::size_t master_crashes() const { return master_crashes_; }
@@ -889,10 +826,17 @@ class JobTracker {
   std::size_t task_output_corruptions_ = 0;
   Megabytes scrubbed_mb_ = 0.0;
   std::size_t scrub_passes_ = 0;
-  /// Injection time per still-undetected corrupt replica — erased at
-  /// detection (feeding the latency histogram); what survives to finalize is
-  /// the latent set.
-  std::map<std::pair<hdfs::BlockId, cluster::MachineId>, Seconds>
+  /// Ledger entry of one still-undetected corrupt replica.
+  struct LatentCorruption {
+    Seconds injected_at = 0.0;
+    /// A re-replicated copy later landed on the same node and overwrote the
+    /// rot (the replica was dropped with its node, which then rejoined), so
+    /// the clean marker at finalize is expected.
+    bool overwritten = false;
+  };
+  /// Per still-undetected corrupt replica — erased at detection (feeding the
+  /// latency histogram); what survives to finalize is the latent set.
+  std::map<std::pair<hdfs::BlockId, cluster::MachineId>, LatentCorruption>
       corrupt_injected_at_;
   /// Detections routed into the re-replication queue whose repair has not
   /// finished yet, per block.  finish_rereplication drains it one repair per
@@ -919,7 +863,7 @@ class JobTracker {
   /// Brownout: speculation suspended while Saturated or worse.
   bool speculation_suspended_ = false;
   /// Brownout: live cap on concurrent re-replication streams (restored to
-  /// config_.max_replication_streams on recovery).
+  /// kMaxReplicationStreams on recovery).
   int rerep_limit_ = 0;
 
   std::vector<TrackerState> tracker_states_;

@@ -101,8 +101,7 @@ class CapacityScheduler final : public mr::Scheduler {
 
  private:
   /// Slots currently occupied by each queue's jobs, in one pass over the
-  /// active jobs (select_job used to recount per comparator evaluation —
-  /// quadratic in jobs for no change in ranking).
+  /// active jobs.
   std::vector<int> occupancy_by_queue() const;
 
   std::optional<mr::JobId> select_legacy(const std::vector<mr::JobId>& runnable);

@@ -98,7 +98,7 @@ TEST(OverloadDetector, EscalatesImmediatelyDecaysOneLevelWithHysteresis) {
 
   // A backlog past the critical threshold escalates straight to Critical —
   // no one-level-per-tick ramp on the way up.
-  EXPECT_EQ(det.fold(1.0, cfg.critical_backlog + 0.5, 0.0),
+  EXPECT_EQ(det.fold(1.0, mr::kCriticalBacklog + 0.5, 0.0),
             mr::OverloadState::kCritical);
 
   // Signals drop to zero: decay is one level per tick, not a jump.
@@ -109,11 +109,12 @@ TEST(OverloadDetector, EscalatesImmediatelyDecaysOneLevelWithHysteresis) {
   // Hysteresis: occupancy below the escalation threshold but above
   // hysteresis * threshold holds the level; only dropping below the
   // hysteresis band releases it.
-  EXPECT_EQ(det.fold(cfg.elevated_occupancy + 0.05, 0.0, 0.0),
+  EXPECT_EQ(det.fold(mr::kElevatedOccupancy + 0.05, 0.0, 0.0),
             mr::OverloadState::kElevated);
-  const double held = cfg.elevated_occupancy * cfg.hysteresis + 0.01;
+  const double held = mr::kElevatedOccupancy * mr::kOverloadHysteresis + 0.01;
   EXPECT_EQ(det.fold(held, 0.0, 0.0), mr::OverloadState::kElevated);
-  const double released = cfg.elevated_occupancy * cfg.hysteresis - 0.05;
+  const double released =
+      mr::kElevatedOccupancy * mr::kOverloadHysteresis - 0.05;
   EXPECT_EQ(det.fold(released, 0.0, 0.0), mr::OverloadState::kNormal);
 
   EXPECT_STREQ(mr::overload_state_name(mr::OverloadState::kNormal), "normal");
@@ -129,7 +130,7 @@ TEST(OverloadDetector, OccupancyPlusSlackPressureMeansSaturated) {
   EXPECT_EQ(det.fold(1.0, 0.0, 0.0), mr::OverloadState::kElevated);
   // ...but full occupancy with most deadlined jobs predicted to miss is
   // Saturated even while the queue itself is short.
-  EXPECT_EQ(det.fold(1.0, 0.0, cfg.slack_pressure_threshold + 0.1),
+  EXPECT_EQ(det.fold(1.0, 0.0, mr::kSlackPressureThreshold + 0.1),
             mr::OverloadState::kSaturated);
 }
 

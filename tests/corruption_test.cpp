@@ -14,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "cluster/catalog.h"
 #include "common/rng.h"
 #include "exp/builders.h"
 #include "exp/runner.h"
@@ -493,6 +494,49 @@ TEST(CorruptionRun, ConservationHoldsWithEveryFamilyActive) {
   EXPECT_LE(m.wasted_energy_corruption, m.wasted_energy + 1e-9);
   EXPECT_LE(m.wasted_energy, m.total_energy);
   EXPECT_EQ(m.jobs_failed, 0u);
+}
+
+TEST(CorruptionRun, RereplicationOntoRejoinedNodeOverwritesLatentRot) {
+  // Three machines, replication 3: every block has a replica on every node,
+  // so a block that lost its copy with a dead node can only be re-replicated
+  // back onto that node once it rejoins.  Rot machine 2's replica after the
+  // job has read everything, then crash the machine past the expiry window:
+  // the rotten replica drops with the node, and the copy that refills it on
+  // rejoin overwrites the rot.  The strike stays latent, and the audit must
+  // not mistake the clean marker for a silently cleared checksum.
+  exp::RunConfig cfg = base_config(5);
+  cfg.job_tracker.tracker_expiry_window = 30.0;
+  const Seconds crash_time = 2000.0;
+  const Seconds downtime = 200.0;
+  cfg.faults.crash_for(2, crash_time, downtime);
+  exp::Run run(exp::homogeneous(cluster::catalog::desktop(), 3),
+               exp::SchedulerKind::kFifo, cfg);
+  run.submit({exp::single_job(workload::AppKind::kWordcount, 64.0 * 6, 1)});
+  run.execute();
+  auto& sim = run.simulator();
+  auto& jt = run.job_tracker();
+  ASSERT_LT(sim.now(), crash_time);
+
+  const hdfs::BlockId block = 0;
+  ASSERT_TRUE(run.namenode().is_local(block, 2));
+  jt.inject_corruption(2, static_cast<std::int64_t>(block), 0.0);
+  ASSERT_TRUE(run.namenode().replica_corrupt(block, 2));
+
+  // Heartbeats keep the simulator running after the workload drains: step
+  // past the crash, the loss declaration, the rejoin and its re-replication.
+  while (sim.now() < crash_time + downtime + 60.0 ||
+         jt.rereplication_active() > 0) {
+    ASSERT_TRUE(sim.step());
+  }
+  ASSERT_TRUE(run.namenode().is_local(block, 2));
+  ASSERT_FALSE(run.namenode().replica_corrupt(block, 2));
+
+  const exp::RunMetrics m = run.metrics();
+  EXPECT_TRUE(m.audit.clean()) << m.audit.summary();
+  EXPECT_GT(m.rereplicated_blocks, 0u);
+  EXPECT_EQ(m.corruptions_injected, 1u);
+  EXPECT_EQ(m.corruptions_detected, 0u);
+  EXPECT_EQ(m.corruptions_latent, 1u);
 }
 
 TEST(CorruptionRun, DeterministicAcrossRepeatsSensitiveToSeed) {

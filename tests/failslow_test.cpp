@@ -371,14 +371,14 @@ TEST(FailSlowRun, SpeculativeClonesPerNodeAreCapped) {
 // --- E-Ant vs the limper -----------------------------------------------------
 
 TEST(EAntFailSlow, TrailCollapsesOnLimperWithoutHealthSignal) {
-  // No quarantine, no speculation, no slow-completion feedback: the ONLY
-  // force acting on the limper is E-Ant's energy loop.  Its tasks burn more
-  // Eq. 2 energy (same power, longer runtime), deposits shrink, evaporation
-  // does the rest — the trail at the limper must fall below a healthy
-  // machine of the same type.  The pair comes from the energy-efficient
-  // t110 group: the desktops' trails sit at the pheromone floor under E-Ant
-  // regardless of health (they are energy-hogs), which would mask the
-  // within-type contrast this test is about.
+  // No quarantine and no speculation: the ONLY force acting on the limper
+  // is E-Ant's energy loop.  Its tasks burn more Eq. 2 energy (same power,
+  // longer runtime), deposits shrink, evaporation does the rest — the trail
+  // at the limper must fall below a healthy machine of the same type.  The
+  // pair comes from the energy-efficient t110 group: the desktops' trails
+  // sit at the pheromone floor under E-Ant regardless of health (they are
+  // energy-hogs), which would mask the within-type contrast this test is
+  // about.
   const MachineId victim = 8;  // t110
   const MachineId twin = 9;    // t110
   exp::RunConfig cfg;

@@ -1,15 +1,30 @@
-"""eant-lint v2: concurrency-grade static analysis for the e-ant simulator.
+"""eant-lint: the project's static checks for the e-ant simulator.
 
-Grown from the regex pass in tools/lint.py for the pre-parallelism hardening
-of the simulator core: before the thread-per-seed sweep driver (exp/sweep.h)
-instantiates one Run per thread, these checks prove — at the AST level when
-libclang is available, via a structured textual fallback otherwise — that the
-core has no shared mutable state and no RNG-discipline violations the regex
-lint structurally cannot see.
+The simulator is the test oracle for every experiment in the paper
+reproduction, so determinism (a run is a pure function of its RunConfig +
+seed) and exactness are load-bearing.  Before the thread-per-seed sweep
+driver (exp/sweep.h) instantiates one Run per thread, these checks also
+prove — at the AST level when libclang is available, via a structured
+textual fallback otherwise — that the core has no shared mutable state and
+no RNG-discipline violations.
 
 Rules (suppress a line with `// lint-ok: <rule>`; file-level exemptions live
 in tools/lint2/allowlist.py and each carries a written justification):
 
+  wall-clock       system_clock / steady_clock / time(NULL) / clock()
+                   outside src/common/rng.* — sim time comes from
+                   sim::Simulator, and all randomness from the seeded
+                   common/rng.h Rng.
+  raw-random       rand(), srand(), std::random_device — unseeded entropy.
+  float-eq         == or != with a floating-point literal operand; use
+                   eant::approx_equal / near_zero (common/fp.h) or
+                   restructure into an ordered comparison.
+  ns-in-header     `using namespace` at file scope in a header.
+  machine-speed    `.type().task_runtime(...)` in src/ outside
+                   src/cluster/machine.* — the nominal per-type runtime
+                   ignores the fail-slow performance multipliers; use
+                   Machine::effective_task_runtime (or suppress where
+                   nominal time is deliberate).
   global-state     any namespace-scope or function-local `static` mutable
                    variable in src/ — thread-hostile for per-thread
                    simulators, and a determinism leak across Runs even
@@ -21,11 +36,11 @@ in tools/lint2/allowlist.py and each carries a written justification):
                    blessed pattern), and no RNG draw may execute inside a
                    loop over a hash-ordered container (the draw order would
                    follow the hash seed, not the config).
-  unordered-iter   actual iteration sites (range-for, structured bindings,
-                   .begin()/.cbegin() loops) over unordered_* containers in
-                   order-sensitive subsystems — the v1 rule only saw member
-                   *declarations*; this one sees the loops, including over
-                   locals.
+  unordered-iter   unordered_* declarations (unless in
+                   UNORDERED_DECL_ALLOWLIST) and actual iteration sites
+                   (range-for, structured bindings, .begin()/.cbegin()
+                   loops) over unordered_* members and locals, in
+                   order-sensitive subsystems.
   observer-completeness
                    every task-attempt lifecycle emission point must pass
                    through the audit tap: TaskTracker functions that mutate
@@ -46,6 +61,11 @@ CMakeLists); pass `--compile-commands build/compile_commands.json`.
 """
 
 RULES = (
+    "wall-clock",
+    "raw-random",
+    "float-eq",
+    "ns-in-header",
+    "machine-speed",
     "global-state",
     "rng-discipline",
     "unordered-iter",

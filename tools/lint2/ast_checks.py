@@ -24,8 +24,8 @@ import json
 import shlex
 from pathlib import Path
 
-from tools.lint import ORDER_SENSITIVE_DIRS
 from tools.lint2.findings import Finding
+from tools.lint2.text_checks import ORDER_SENSITIVE_DIRS
 
 
 def ast_available() -> str | None:

@@ -22,7 +22,9 @@ from tools.lint2.source import SourceFile, load
 from tools.lint2.text_checks import run_text_checks
 
 REPO = Path(__file__).resolve().parent.parent.parent
-SCAN_DIRS = ["src", "bench"]
+SCAN_DIRS = ["src", "bench", "tests", "examples"]
+# The AST backend's rules cover the simulator and its benches only.
+AST_DIRS = ("src/", "bench/")
 EXTS = {".h", ".cpp", ".cc"}
 
 
@@ -77,7 +79,9 @@ def run(paths: list[str], mode: str,
                 notes.append(f"lint2: compile commands not found at {cc}; "
                              "AST mode parsing with default flags")
                 cc = None
-            findings.extend(run_ast_checks(sources, cc, REPO, notes))
+            findings.extend(run_ast_checks(
+                [sf for sf in sources if sf.rel.startswith(AST_DIRS)], cc,
+                REPO, notes))
             notes.append("lint2: backends = text + AST (libclang)")
         elif mode == "ast":
             raise SystemExit(f"lint2: --ast requested but {reason}")
@@ -96,7 +100,7 @@ def main(argv: list[str] | None = None) -> int:
                     "simulator (see tools/lint2/__init__.py for the rules).")
     parser.add_argument("paths", nargs="*",
                         help="files or directories relative to the repo "
-                             "root (default: src bench)")
+                             "root (default: src bench tests examples)")
     backend = parser.add_mutually_exclusive_group()
     backend.add_argument("--ast", action="store_true",
                          help="require the libclang backend (error if "

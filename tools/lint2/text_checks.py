@@ -25,9 +25,116 @@ from __future__ import annotations
 
 import re
 
-from tools.lint import ORDER_SENSITIVE_DIRS
+from tools.lint2.allowlist import UNORDERED_DECL_ALLOWLIST
 from tools.lint2.findings import Finding
 from tools.lint2.source import CLASS, FUNCTION, SourceFile
+
+# Subsystems whose iteration order can feed scheduling decisions or RNG draws.
+ORDER_SENSITIVE_DIRS = ("src/mapreduce", "src/sched", "src/core", "src/sim",
+                        "src/net", "src/hdfs", "src/tenancy", "src/audit")
+
+# ---------------------------------------------------------------------------
+# wall-clock, raw-random
+# ---------------------------------------------------------------------------
+
+# Files allowed to touch entropy / wall-clock primitives: the seeded RNG
+# wrapper itself.
+RNG_ALLOWLIST = {"src/common/rng.h", "src/common/rng.cpp"}
+
+_WALL_CLOCK = re.compile(
+    r"\b(?:std::chrono::)?(?:system_clock|steady_clock|high_resolution_clock)\b"
+    r"|(?<![\w:.])time\s*\(\s*(?:NULL|nullptr|0|&)"
+    r"|(?<![\w:.])clock\s*\(\s*\)"
+)
+_RAW_RANDOM = re.compile(
+    r"(?<![\w:.])s?rand\s*\(|std::random_device|(?<!\w)random_device\s+\w"
+)
+
+
+def check_wall_clock(sf: SourceFile) -> list[Finding]:
+    """system_clock / steady_clock / time(NULL) / clock() outside the RNG
+    wrapper: sim time comes from sim::Simulator, not the host."""
+    if sf.rel in RNG_ALLOWLIST:
+        return []
+    return [Finding("wall-clock", sf.rel, lineno, "",
+                    "wall-clock call; use sim::Simulator time instead")
+            for lineno, code in enumerate(sf.code, start=1)
+            if _WALL_CLOCK.search(code)]
+
+
+def check_raw_random(sf: SourceFile) -> list[Finding]:
+    """rand(), srand(), std::random_device — unseeded entropy; all
+    randomness comes from the seeded common/rng.h Rng."""
+    if sf.rel in RNG_ALLOWLIST:
+        return []
+    return [Finding("raw-random", sf.rel, lineno, "",
+                    "unseeded entropy; use the seeded eant::Rng")
+            for lineno, code in enumerate(sf.code, start=1)
+            if _RAW_RANDOM.search(code)]
+
+
+# ---------------------------------------------------------------------------
+# float-eq
+# ---------------------------------------------------------------------------
+
+_FLOAT_LITERAL = (r"(?:\d+\.\d*|\.\d+)(?:[eE][-+]?\d+)?[fF]?"
+                  r"|\d+[eE][-+]?\d+[fF]?")
+# ==/!= with a float literal on either side.  `!=` must not match `<=`/`>=`,
+# and `==` must not match a preceding `!=`/`<=`/`>=` or C++20 `<=>`.
+_FLOAT_EQ = re.compile(
+    r"(?:%(lit)s)\s*[=!]=(?!=)|(?<![<>!=])[=!]=(?!=)\s*[-+]?(?:%(lit)s)"
+    % {"lit": _FLOAT_LITERAL}
+)
+
+
+def check_float_eq(sf: SourceFile) -> list[Finding]:
+    """== or != with a floating-point literal operand: a latent bug once the
+    value has been through arithmetic."""
+    return [Finding("float-eq", sf.rel, lineno, "",
+                    "float ==/!=; use approx_equal/near_zero (common/fp.h) "
+                    "or an ordered comparison")
+            for lineno, code in enumerate(sf.code, start=1)
+            if _FLOAT_EQ.search(code)]
+
+
+# ---------------------------------------------------------------------------
+# ns-in-header
+# ---------------------------------------------------------------------------
+
+_USING_NAMESPACE = re.compile(r"^\s*using\s+namespace\s+[\w:]+\s*;")
+
+
+def check_ns_in_header(sf: SourceFile) -> list[Finding]:
+    """`using namespace` at file scope in a header."""
+    if not sf.rel.endswith(".h"):
+        return []
+    return [Finding("ns-in-header", sf.rel, lineno, "",
+                    "`using namespace` in a header")
+            for lineno, code in enumerate(sf.code, start=1)
+            if _USING_NAMESPACE.search(code)]
+
+
+# ---------------------------------------------------------------------------
+# machine-speed
+# ---------------------------------------------------------------------------
+
+# Nominal (type-level) task runtime read outside the Machine wrapper: every
+# src/ call site must either go through Machine::effective_task_runtime —
+# which folds in the fail-slow performance multipliers — or carry an explicit
+# `// lint-ok: machine-speed` acknowledging that nominal time is intended.
+_MACHINE_SPEED = re.compile(r"\.\s*type\s*\(\s*\)\s*\.\s*task_runtime\s*\(")
+MACHINE_SPEED_ALLOWLIST = {"src/cluster/machine.h", "src/cluster/machine.cpp"}
+
+
+def check_machine_speed(sf: SourceFile) -> list[Finding]:
+    """`.type().task_runtime(...)` in src/ outside src/cluster/machine.*."""
+    if not sf.rel.startswith("src/") or sf.rel in MACHINE_SPEED_ALLOWLIST:
+        return []
+    return [Finding("machine-speed", sf.rel, lineno, "",
+                    "nominal type-level runtime bypasses the fail-slow "
+                    "perf multipliers; use Machine::effective_task_runtime")
+            for lineno, code in enumerate(sf.code, start=1)
+            if _MACHINE_SPEED.search(code)]
 
 # ---------------------------------------------------------------------------
 # global-state
@@ -196,7 +303,7 @@ def check_rng_discipline(sf: SourceFile) -> list[Finding]:
 
 
 # ---------------------------------------------------------------------------
-# unordered-iter (v2: iteration sites, not member declarations)
+# unordered-iter
 # ---------------------------------------------------------------------------
 
 _UNORDERED_DECL = re.compile(r"\bstd::unordered_(?:map|set|multimap|multiset)\s*<")
@@ -276,19 +383,36 @@ def _unordered_loops(sf: SourceFile) -> list[tuple[int, int, str]]:
 
 
 def check_unordered_iter(sf: SourceFile) -> list[Finding]:
-    """Iteration sites over unordered_* containers in order-sensitive dirs.
+    """Hash-ordered containers in order-sensitive dirs.
 
-    v1 (tools/lint.py) flags member *declarations*; this rule flags the
-    actual loops — range-for (incl. structured bindings), and explicit
-    .begin()/.cbegin() iteration — over members AND locals, plus range
-    expressions that mention `unordered` textually.  Iteration order is
-    hash-seed dependent: any scheduling decision, RNG draw or output
-    ordering derived from it diverges across platforms and libstdc++
-    versions.
+    Two kinds of site, both under this rule id:
+
+      * declarations — any line declaring a std::unordered_*, so a
+        hash-ordered container needs an UNORDERED_DECL_ALLOWLIST entry (or
+        a `lint-ok`) with a determinism argument before it can exist in
+        these subsystems;
+      * iteration — range-for (incl. structured bindings) and explicit
+        .begin()/.cbegin() loops over members AND locals, plus range
+        expressions that mention `unordered` textually.
+
+    Iteration order is hash-seed dependent: any scheduling decision, RNG
+    draw or output ordering derived from it diverges across platforms and
+    libstdc++ versions.
     """
     out: list[Finding] = []
     if not sf.rel.startswith(ORDER_SENSITIVE_DIRS):
         return out
+    for lineno, code in enumerate(sf.code, start=1):
+        if _UNORDERED_DECL.search(code):
+            member = re.search(r">\s*(\w+)\s*;", code)
+            name = member.group(1) if member else ""
+            if (sf.rel, name) in UNORDERED_DECL_ALLOWLIST:
+                continue
+            out.append(Finding(
+                "unordered-iter", sf.rel, lineno, name,
+                "hash-ordered container in an order-sensitive subsystem; "
+                "use std::map/std::set or add to the allowlist with a "
+                "determinism argument"))
     for lineno, _, expr in _unordered_loops(sf):
         out.append(Finding(
             "unordered-iter", sf.rel, lineno, expr,
@@ -463,6 +587,11 @@ def _near(sf: SourceFile, lineno: int, pat: re.Pattern[str],
 
 
 ALL_CHECKS = (
+    check_wall_clock,
+    check_raw_random,
+    check_float_eq,
+    check_ns_in_header,
+    check_machine_speed,
     check_global_state,
     check_rng_discipline,
     check_unordered_iter,
