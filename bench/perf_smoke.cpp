@@ -95,7 +95,7 @@ Row measure(exp::SchedulerKind kind, std::size_t nodes) {
   const mr::JobTracker& jt = run.job_tracker();
   r.heartbeats = jt.heartbeats();
   r.select_job_calls = jt.select_job_calls();
-  r.select_job_wall_s = jt.select_job_wall_seconds();
+  r.select_job_wall_s = jt.counters().select_job_wall_seconds;
   r.select_us_per_heartbeat =
       r.heartbeats > 0 ? r.select_job_wall_s * 1e6 /
                              static_cast<double>(r.heartbeats)

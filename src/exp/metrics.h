@@ -82,15 +82,16 @@ struct TenantMetrics {
   }
 };
 
-/// Everything measured over one experiment run.
-struct RunMetrics {
+/// Everything measured over one experiment run.  The JobTracker's tallies
+/// (jobs, attempts, fetches, re-replication, corruption, failover) are the
+/// inherited mr::JobTrackerCounters fields.
+struct RunMetrics : mr::JobTrackerCounters {
   std::string scheduler_name;
   Seconds makespan = 0.0;   ///< sim time when the last job finished
   Joules total_energy = 0.0;
   std::vector<TypeMetrics> by_type;
   std::vector<JobMetrics> jobs;
   std::vector<TenantMetrics> by_tenant;  ///< sorted by tenant id
-  std::size_t preempted_attempts = 0;    ///< scheduler-preempted attempts
   std::size_t deadline_misses = 0;       ///< over all tenants
   std::size_t total_tasks = 0;
   std::size_t local_maps = 0;       ///< node-local maps
@@ -102,23 +103,11 @@ struct RunMetrics {
   net::FabricMetrics network;
 
   // --- fault & recovery accounting (fig. 13) ---------------------------------
-  std::size_t jobs_failed = 0;
-  std::size_t killed_attempts = 0;    ///< attempts that died with a machine
-  std::size_t failed_attempts = 0;    ///< transient attempt failures
-  std::size_t lost_map_outputs = 0;   ///< completed maps re-run after node loss
-  double wasted_task_seconds = 0.0;   ///< task-seconds of discarded work
   Joules wasted_energy = 0.0;         ///< Eq. 2 estimate over discarded work
-  std::vector<Seconds> recovery_times;  ///< per node-loss episode
 
   // --- degraded-mode accounting ----------------------------------------------
-  std::size_t fetch_failures = 0;        ///< shuffle fetches that died mid-flight
-  std::size_t fetch_reexecuted_maps = 0; ///< maps re-run via fetch-failure path
-  std::size_t rereplicated_blocks = 0;   ///< HDFS blocks restored after node loss
-  Megabytes rereplication_mb = 0.0;      ///< bytes moved by block recovery
-  std::size_t data_loss_events = 0;      ///< blocks whose last replica died
   std::size_t link_faults = 0;           ///< applied degrading net transitions
   std::size_t perf_faults = 0;           ///< applied fail-slow degradations
-  std::size_t quarantine_episodes = 0;   ///< limper quarantine entries
   std::size_t under_replicated_blocks = 0;  ///< still queued at snapshot time
   /// Blocks short of `replication` live replicas that are neither recorded
   /// lost nor queued/in-flight for recovery — must be 0 (the "no block falls
@@ -126,16 +115,6 @@ struct RunMetrics {
   std::size_t replication_violations = 0;
 
   // --- data-integrity accounting (zero unless corruption faults ran) ----------
-  std::size_t corruptions_injected = 0;  ///< strikes on live clean replicas
-  std::size_t corruptions_detected = 0;  ///< confirmed by a read or the scrubber
-  std::size_t corruptions_repaired = 0;  ///< settled by a completed block copy
-  std::size_t corruptions_lost = 0;      ///< ended in corrupt-block loss
-  std::size_t corruptions_latent = 0;    ///< still undetected at run end
-  std::size_t corrupt_read_failovers = 0;  ///< reads that skipped bad replicas
-  std::size_t shuffle_corruptions = 0;     ///< fetched payloads failing checksum
-  std::size_t task_output_corruptions = 0; ///< map outputs rejected end-to-end
-  Megabytes scrubbed_mb = 0.0;             ///< bytes scanned by the scrubber
-  std::size_t scrub_passes = 0;            ///< scrub ticks that actually scanned
   /// Mean seconds from injection to detection, over detected corruptions.
   Seconds mean_detection_latency = 0.0;
   /// Eq. 2 estimate over work discarded for corruption (subset of
@@ -145,21 +124,11 @@ struct RunMetrics {
   // --- overload protection (zero unless admission is enabled) -----------------
   bool admission_active = false;    ///< the run had the subsystem enabled
   std::size_t jobs_rejected = 0;    ///< rejection events across tenants
-  std::size_t jobs_dropped = 0;     ///< jobs dropped after the retry budget
   std::size_t admission_retries = 0;  ///< backpressure retries scheduled
   std::size_t overload_transitions = 0;  ///< detector state changes
   Seconds time_elevated = 0.0;   ///< sim time spent in Elevated
   Seconds time_saturated = 0.0;  ///< sim time spent in Saturated
   Seconds time_critical = 0.0;   ///< sim time spent in Critical
-
-  // --- control-plane failover accounting --------------------------------------
-  std::size_t master_crashes = 0;       ///< JT + NN crash transitions applied
-  std::size_t checkpoints_written = 0;  ///< committed edit-log checkpoints
-  std::size_t checkpoint_replays = 0;   ///< recoveries that replayed one
-  std::size_t fenced_heartbeats = 0;    ///< heartbeats rejected by epoch fencing
-  std::size_t fenced_completions = 0;   ///< reports buffered as orphans
-  std::size_t orphans_committed = 0;    ///< orphaned attempts committed on replay
-  std::size_t orphans_requeued = 0;     ///< orphaned attempts discarded + requeued
 
   // --- invariant audit (only meaningful when audited) ------------------------
   bool audited = false;  ///< the run had the InvariantAuditor attached

@@ -214,14 +214,6 @@ RunMetrics Run::metrics() {
     rm.link_faults = injector_->link_faults();
     rm.perf_faults = injector_->slow_faults();
   }
-  rm.master_crashes = jt_->master_crashes();
-  rm.checkpoints_written = jt_->checkpoints_written();
-  rm.checkpoint_replays = jt_->checkpoint_replays();
-  rm.fenced_heartbeats = jt_->fenced_heartbeats();
-  rm.fenced_completions = jt_->fenced_completions();
-  rm.orphans_committed = jt_->orphans_committed();
-  rm.orphans_requeued = jt_->orphans_requeued();
-  rm.quarantine_episodes = jt_->quarantine_episodes();
   if (auditor_) {
     rm.audited = true;
     rm.audit = auditor_->finalize();

@@ -330,12 +330,6 @@ std::size_t AdmissionControl::total_rejections() const {
   return n;
 }
 
-std::size_t AdmissionControl::total_dropped() const {
-  std::size_t n = 0;
-  for (const auto& [t, led] : ledgers_) n += led.dropped;
-  return n;
-}
-
 std::size_t AdmissionControl::total_retries() const {
   std::size_t n = 0;
   for (const auto& [t, led] : ledgers_) n += led.retries;

@@ -268,7 +268,6 @@ class AdmissionControl {
     return ledgers_;
   }
   std::size_t total_rejections() const;
-  std::size_t total_dropped() const;
   std::size_t total_retries() const;
   std::size_t transitions() const { return transitions_; }
   Seconds time_in(OverloadState s) const {

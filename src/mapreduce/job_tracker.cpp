@@ -67,6 +67,11 @@ constexpr int kMaxReplicationStreams = 4;
 /// other application-level caps).
 constexpr double kRereplicationMbps = 40.0;
 
+/// Audit entity of a (hi, lo) pair such as (block, node) or (job, source).
+std::uint64_t pack_entity(std::uint64_t hi, std::uint64_t lo) {
+  return (hi << 32) ^ lo;
+}
+
 static_assert(kShuffleMbps > 0.0 && kRemoteReadMbps > 0.0,
               "bandwidths must be positive");
 static_assert(kReduceFetchAbortLimit >= 0,
@@ -225,10 +230,10 @@ void JobTracker::start_checkpoint_timer() {
             config_.checkpoint_write_cost, [this, started, epoch] {
               if (!master_up_ || master_epoch_ != epoch) return;
               checkpoint_coverage_ = started;
-              ++checkpoints_written_;
+              ++counters_.checkpoints_written;
               if (auditor_) {
                 auditor_->record(audit::Record::kCheckpoint,
-                                 checkpoints_written_);
+                                 counters_.checkpoints_written);
               }
             });
         return true;
@@ -314,7 +319,7 @@ void JobTracker::reject_submission(workload::JobSpec spec,
   // Retry budget exhausted: the job is dropped without ever getting a
   // JobId.  It leaves jobs_expected_ so the run can still drain.
   --jobs_expected_;
-  ++jobs_dropped_;
+  ++counters_.jobs_dropped;
 }
 
 void JobTracker::replay_pending_submissions() {
@@ -395,7 +400,7 @@ void JobTracker::handle_heartbeat(TaskTracker& tracker) {
   const cluster::MachineId m = tracker.machine_id();
   if (!master_up_) {
     // The master process is dead: nobody hears the heartbeat.
-    ++fenced_heartbeats_;
+    ++counters_.fenced_heartbeats;
     return;
   }
   if (tracker_epoch_[m] != master_epoch_) {
@@ -403,12 +408,12 @@ void JobTracker::handle_heartbeat(TaskTracker& tracker) {
       // Re-registration storm throttle: the restarted master admits the
       // fleet in machine-id order across reregistration_window; reports
       // arriving before a tracker's gate are fenced as stale-epoch.
-      ++fenced_heartbeats_;
+      ++counters_.fenced_heartbeats;
       return;
     }
     reregister_tracker(tracker);
   }
-  ++heartbeats_;
+  ++counters_.heartbeats;
   TrackerState& ts = tracker_states_[m];
   ts.last_heartbeat = sim_.now();
   if (ts.lost) {
@@ -480,15 +485,7 @@ void JobTracker::resolve_orphans(cluster::MachineId machine,
         note_orphan_outcome(spec, machine, 1);
         handle_task_failure(orphan.report);
       } else {
-        if (auditor_) {
-          auditor_->on_task_transition(spec.job, is_map, spec.index,
-                                       audit::TaskEvent::kOrphanRequeue,
-                                       machine);
-        }
-        note_orphan_outcome(spec, machine, 2);
-        ++orphans_requeued_;
-        report_waste(orphan.report, WasteReason::kOrphaned);
-        requeue_orphaned_task(spec, machine);
+        write_off_orphan(orphan.report, 2);
       }
       continue;
     }
@@ -504,17 +501,10 @@ void JobTracker::resolve_orphans(cluster::MachineId machine,
                                      audit::TaskEvent::kOrphanCommit, machine);
       }
       note_orphan_outcome(spec, machine, 0);
-      ++orphans_committed_;
+      ++counters_.orphans_committed;
       handle_completion(orphan.report);
     } else {
-      if (auditor_) {
-        auditor_->on_task_transition(spec.job, is_map, spec.index,
-                                     audit::TaskEvent::kOrphanRequeue, machine);
-      }
-      note_orphan_outcome(spec, machine, 2);
-      ++orphans_requeued_;
-      report_waste(orphan.report, WasteReason::kOrphaned);
-      requeue_orphaned_task(spec, machine);
+      write_off_orphan(orphan.report, 2);
     }
   }
 }
@@ -526,8 +516,8 @@ void JobTracker::reconcile_running_attempts(TaskTracker& tracker) {
     // The restarted master has no record of this in-flight attempt: kill it
     // (cancel_task audits the kKill) and requeue the task.
     tracker.cancel_task(a.spec.job, a.spec.kind, a.spec.index);
-    ++killed_attempts_;
-    ++orphans_requeued_;
+    ++counters_.killed_attempts;
+    ++counters_.orphans_requeued;
     TaskReport waste;
     waste.spec = a.spec;
     waste.machine = m;
@@ -535,25 +525,38 @@ void JobTracker::reconcile_running_attempts(TaskTracker& tracker) {
     waste.finish = sim_.now();
     report_waste(waste, WasteReason::kOrphaned);
     note_orphan_outcome(a.spec, m, 2);
-    requeue_orphaned_task(a.spec, m);
+    requeue_task(a.spec.job, a.spec.kind, a.spec.index, m);
   }
 }
 
-void JobTracker::requeue_orphaned_task(const TaskSpec& spec,
-                                       cluster::MachineId machine) {
-  JobState& js = job_mutable(spec.job);
-  if (js.failed() || js.complete()) return;
-  if (js.status(spec.kind, spec.index) != TaskStatus::kRunning) return;
-  js.clear_speculative(spec.kind, spec.index);
-  if (!running_elsewhere(spec.job, spec.kind, spec.index)) {
-    js.unclaim(spec.kind, spec.index, machine);
-  }
+bool JobTracker::requeue_task(JobId job, TaskKind kind, TaskIndex index,
+                              cluster::MachineId machine) {
+  JobState& js = job_mutable(job);
+  if (js.failed() || js.complete()) return false;
+  if (js.status(kind, index) != TaskStatus::kRunning) return false;
+  js.clear_speculative(kind, index);
+  if (running_elsewhere(job, kind, index)) return false;
+  js.unclaim(kind, index, machine);
+  return true;
 }
 
 void JobTracker::note_orphan_outcome(const TaskSpec& spec,
                                      cluster::MachineId machine, int outcome) {
   orphan_outcomes_[{spec.job, spec.kind, spec.index, machine}].push_back(
       outcome);
+}
+
+bool JobTracker::write_off_orphan(const TaskReport& report, int outcome) {
+  const TaskSpec& spec = report.spec;
+  if (auditor_) {
+    auditor_->on_task_transition(spec.job, spec.kind == TaskKind::kMap,
+                                 spec.index, audit::TaskEvent::kOrphanRequeue,
+                                 report.machine);
+  }
+  note_orphan_outcome(spec, report.machine, outcome);
+  ++counters_.orphans_requeued;
+  report_waste(report, WasteReason::kOrphaned);
+  return requeue_task(spec.job, spec.kind, spec.index, report.machine);
 }
 
 std::uint64_t JobTracker::orphan_resolution_digest() const {
@@ -589,7 +592,7 @@ void JobTracker::update_node_health(TaskTracker& tracker) {
   if (!ts.quarantined && ts.health_samples >= config_.health_min_samples &&
       ts.health < config_.quarantine_threshold) {
     ts.quarantined = true;
-    ++quarantine_episodes_;
+    ++counters_.quarantine_episodes;
     // The node is not dead — its running attempts continue (and may still
     // finish) — but the scheduler must stop feeding it.
     scheduler_.on_tracker_lost(m);
@@ -694,7 +697,7 @@ void JobTracker::try_speculate(TaskTracker& tracker, TaskKind kind) {
 
 std::optional<JobId> JobTracker::timed_select_job(cluster::MachineId machine,
                                                  TaskKind kind) {
-  ++select_job_calls_;
+  ++counters_.select_job_calls;
   if (!config_.measure_scheduler_time) {
     return scheduler_.select_job(machine, kind);
   }
@@ -704,7 +707,8 @@ std::optional<JobId> JobTracker::timed_select_job(cluster::MachineId machine,
   const auto t0 = std::chrono::steady_clock::now();  // lint-ok: wall-clock
   const auto choice = scheduler_.select_job(machine, kind);
   const auto t1 = std::chrono::steady_clock::now();  // lint-ok: wall-clock
-  select_job_wall_seconds_ += std::chrono::duration<double>(t1 - t0).count();
+  counters_.select_job_wall_seconds +=
+      std::chrono::duration<double>(t1 - t0).count();
   return choice;
 }
 
@@ -785,7 +789,7 @@ void JobTracker::launch(JobState& js, TaskKind kind, TaskIndex index,
     note_legacy_network();
   }
   const Seconds duration =
-      compute_duration(js, spec, cluster_.machine(m), locality);
+      compute_duration(spec, cluster_.machine(m), locality);
   Seconds fail_after = 0.0;
   if (attempt_fault_hook_) {
     if (const auto frac = attempt_fault_hook_(spec, m)) {
@@ -939,20 +943,15 @@ void JobTracker::on_flow_complete(net::FlowId id, const TransferKey& key) {
   // the shuffle.
   if (of.cls == net::TransferClass::kShuffle && of.mb > 0.0 &&
       shuffle_corruption_hook_ && shuffle_corruption_hook_()) {
-    ++shuffle_corruptions_;
+    ++counters_.shuffle_corruptions;
     if (auditor_) {
       auditor_->record(audit::Record::kCorruptionDetected,
-                       (static_cast<std::uint64_t>(of.key.job) << 32) ^
-                           static_cast<std::uint64_t>(of.src));
+                       pack_entity(of.key.job, of.src));
     }
     handle_fetch_failure(of, of.mb);
     return;
   }
-  if (!it->second.flows.empty()) return;
-  if (it->second.pending_retries > 0) return;  // fetches still backing off
-  const PendingTransfer pt = it->second;
-  transfers_.erase(it);
-  begin_compute_for(key, pt);
+  begin_compute_if_drained(it);
 }
 
 void JobTracker::on_flow_failed(net::FlowId id, Megabytes remaining_mb) {
@@ -981,7 +980,7 @@ void JobTracker::on_flow_failed(net::FlowId id, Megabytes remaining_mb) {
     const TaskSpec& spec = job(of.key.job).task(of.key.kind, of.key.index);
     const auto src = pick_replica_source(spec.block, of.key.machine);
     if (remaining_mb > 0.0 && src.has_value()) {
-      ++retransferred_flows_;
+      ++counters_.retransferred_flows;
       start_owned_flow(of.key, *src, of.key.machine, remaining_mb,
                        of.cap_mbps, of.cls);
       return;
@@ -993,11 +992,7 @@ void JobTracker::on_flow_failed(net::FlowId id, Megabytes remaining_mb) {
       kill_fetching_attempt(of.key);
       return;
     }
-    if (tit->second.flows.empty() && tit->second.pending_retries == 0) {
-      const PendingTransfer pt = tit->second;
-      transfers_.erase(tit);
-      begin_compute_for(of.key, pt);
-    }
+    begin_compute_if_drained(tit);
     return;
   }
   handle_fetch_failure(of, remaining_mb);
@@ -1005,15 +1000,14 @@ void JobTracker::on_flow_failed(net::FlowId id, Megabytes remaining_mb) {
 
 void JobTracker::handle_fetch_failure(const OwnedFlow& of,
                                       Megabytes remaining_mb) {
-  ++fetch_failures_;
+  ++counters_.fetch_failures;
   scheduler_.on_fetch_failed(of.key.job, of.src);
   if (auditor_) {
     auditor_->record(audit::Record::kFetchFailure,
-                     (static_cast<std::uint64_t>(of.key.job) << 32) ^
-                         static_cast<std::uint64_t>(of.src));
+                     pack_entity(of.key.job, of.src));
   }
-  FetchState& fs = fetch_state_[{of.key.job, of.src}];
-  ++fs.failures;
+  int& source_failures = fetch_failures_by_source_[{of.key.job, of.src}];
+  ++source_failures;
   // Strikes against the reduce task itself: they survive attempt kills (a
   // relaunched reduce re-shuffles from scratch, so the prior failures still
   // represent zero progress) and clear only when a shuffle completes.  A
@@ -1028,7 +1022,7 @@ void JobTracker::handle_fetch_failure(const OwnedFlow& of,
     return;
   }
   if (config_.fetch_failure_threshold > 0 &&
-      fs.failures >= config_.fetch_failure_threshold) {
+      source_failures >= config_.fetch_failure_threshold) {
     // Hadoop's "too many fetch failures": the source's map outputs are
     // declared lost for this job and the maps re-execute elsewhere.
     declare_map_outputs_lost(of.key.job, of.src);
@@ -1037,7 +1031,7 @@ void JobTracker::handle_fetch_failure(const OwnedFlow& of,
   }
   // Exponential backoff, then refetch the undelivered bytes from the same
   // source (the fault may be transient, or the link may heal).
-  const int exponent = std::max(fs.failures - 1, 0);
+  const int exponent = std::max(source_failures - 1, 0);
   const Seconds backoff =
       std::min(config_.fetch_retry_backoff * std::pow(2.0, exponent),
                kFetchRetryBackoffMax);
@@ -1067,15 +1061,11 @@ void JobTracker::retry_fetch(const TransferKey& key, cluster::MachineId src,
   }
   // The source died while we backed off — its outputs were reclaimed through
   // the node-loss path, so this fetch just drains.
-  if (it->second.flows.empty() && it->second.pending_retries == 0) {
-    const PendingTransfer pt = it->second;
-    transfers_.erase(it);
-    begin_compute_for(key, pt);
-  }
+  begin_compute_if_drained(it);
 }
 
 void JobTracker::declare_map_outputs_lost(JobId job, cluster::MachineId source) {
-  fetch_state_.erase({job, source});
+  fetch_failures_by_source_.erase({job, source});
   JobState& js = job_mutable(job);
   if (js.failed() || js.complete()) return;
   TrackerState& ts = tracker_states_[source];
@@ -1084,16 +1074,10 @@ void JobTracker::declare_map_outputs_lost(JobId job, cluster::MachineId source) 
   std::vector<std::pair<JobId, TaskIndex>> victims;
   for (auto& [key, r] : ts.map_outputs) {
     if (key.first != job) continue;
-    if (js.status(TaskKind::kMap, key.second) != TaskStatus::kDone) continue;
-    js.revert_done_map(key.second, r.duration(),
-                       namenode_.locations(r.spec.block), source);
-    if (auditor_) {
-      auditor_->on_task_transition(job, true, key.second,
-                                   audit::TaskEvent::kRevertDone, source);
+    if (revert_map_output(js, r, source, counters_.fetch_reexecuted_maps,
+                          WasteReason::kFetchFailed)) {
+      victims.push_back(key);
     }
-    ++fetch_reexecuted_maps_;
-    report_waste(r, WasteReason::kFetchFailed);
-    victims.push_back(key);
   }
   for (const auto& k : victims) ts.map_outputs.erase(k);
 
@@ -1111,18 +1095,28 @@ void JobTracker::declare_map_outputs_lost(JobId job, cluster::MachineId source) 
 }
 
 void JobTracker::kill_fetching_attempt(const TransferKey& key) {
-  JobState& js = job_mutable(key.job);
   // cancel_task tears the attempt down without a completion report; its
   // abort callback drains any remaining fetch flows.
   trackers_[key.machine]->cancel_task(key.job, key.kind, key.index);
   abort_transfers(key);
-  ++killed_attempts_;
-  if (js.failed() || js.complete()) return;
-  if (js.status(key.kind, key.index) != TaskStatus::kRunning) return;
-  js.clear_speculative(key.kind, key.index);
-  if (!running_elsewhere(key.job, key.kind, key.index)) {
-    js.unclaim(key.kind, key.index, key.machine);
+  ++counters_.killed_attempts;
+  requeue_task(key.job, key.kind, key.index, key.machine);
+}
+
+bool JobTracker::revert_map_output(JobState& js, const TaskReport& r,
+                                   cluster::MachineId source,
+                                   std::size_t& counter, WasteReason reason) {
+  const TaskIndex index = r.spec.index;
+  if (js.status(TaskKind::kMap, index) != TaskStatus::kDone) return false;
+  js.revert_done_map(index, r.duration(), namenode_.locations(r.spec.block),
+                     source);
+  if (auditor_) {
+    auditor_->on_task_transition(js.id(), true, index,
+                                 audit::TaskEvent::kRevertDone, source);
   }
+  ++counter;
+  report_waste(r, reason);
+  return true;
 }
 
 void JobTracker::fail_fetching_attempt(const TransferKey& key) {
@@ -1130,7 +1124,7 @@ void JobTracker::fail_fetching_attempt(const TransferKey& key) {
   // the attempt FAIL through the normal completion path so it burns budget
   // (four hopeless shuffles end the job loudly instead of livelocking).
   abort_transfers(key);
-  ++fetch_aborted_attempts_;
+  ++counters_.fetch_aborted_attempts;
   TaskTracker& t = *trackers_[key.machine];
   EANT_ASSERT(t.alive() && t.is_running(key.job, key.kind, key.index),
               "fetch-aborting an attempt that is no longer running");
@@ -1138,8 +1132,12 @@ void JobTracker::fail_fetching_attempt(const TransferKey& key) {
   t.begin_compute(key.job, key.kind, key.index, duration, 0.5 * duration);
 }
 
-void JobTracker::begin_compute_for(const TransferKey& key,
-                                   const PendingTransfer& pt) {
+void JobTracker::begin_compute_if_drained(
+    std::map<TransferKey, PendingTransfer>::iterator it) {
+  if (!it->second.flows.empty() || it->second.pending_retries > 0) return;
+  const TransferKey key = it->first;
+  const PendingTransfer pt = it->second;
+  transfers_.erase(it);
   if (key.kind == TaskKind::kReduce) {
     // The shuffle landed: the task made real progress, so its fetch-failure
     // strikes no longer indicate a hopeless reduce.
@@ -1240,22 +1238,15 @@ void JobTracker::handle_network_casualties(cluster::MachineId dead) {
     }
 
     if (remaining > 0.0 && source.has_value()) {
-      ++retransferred_flows_;
+      ++counters_.retransferred_flows;
       start_owned_flow(key, *source, dst, remaining, cap, cls);
-    } else if (tit->second.flows.empty() &&
-               tit->second.pending_retries == 0) {
-      // No surviving source (or nothing left to move): the fetch set just
-      // drained, so the attempt proceeds to compute with what it has.
-      const PendingTransfer pt = tit->second;
-      transfers_.erase(tit);
-      begin_compute_for(key, pt);
+    } else {
+      // No surviving source (or nothing left to move): once the fetch set
+      // drains, the attempt proceeds to compute with what it has.
+      begin_compute_if_drained(tit);
     }
   }
   if (rerep_requeued) pump_rereplication();
-}
-
-void JobTracker::handle_datanode_loss(cluster::MachineId machine) {
-  apply_datanode_mark(machine, /*dead=*/true);
 }
 
 void JobTracker::apply_datanode_mark(cluster::MachineId machine, bool dead) {
@@ -1271,7 +1262,7 @@ void JobTracker::apply_datanode_mark(cluster::MachineId machine, bool dead) {
     namenode_.mark_datanode_dead(machine);
     const auto& lost = namenode_.lost_blocks();
     for (std::size_t i = lost_before; i < lost.size(); ++i) {
-      ++data_loss_events_;
+      ++counters_.data_loss_events;
       if (auditor_) auditor_->record(audit::Record::kDataLoss, lost[i]);
     }
   } else {
@@ -1301,8 +1292,7 @@ void JobTracker::pump_rereplication() {
     const Megabytes mb = namenode_.block_size(block);
     if (auditor_) {
       auditor_->record(audit::Record::kReplicaChange,
-                       (static_cast<std::uint64_t>(block) << 32) ^
-                           static_cast<std::uint64_t>(target));
+                       pack_entity(block, target));
     }
     ++rerep_active_;
     if (fabric_ != nullptr) {
@@ -1335,13 +1325,13 @@ void JobTracker::finish_rereplication(net::FlowId id, hdfs::BlockId block,
   // add_replica then re-queues the block instead of registering the copy.
   namenode_.add_replica(block, target);
   if (namenode_.is_local(block, target)) {
-    ++rereplicated_blocks_;
-    rereplication_mb_ += mb;
+    ++counters_.rereplicated_blocks;
+    counters_.rereplication_mb += mb;
     // The fresh bytes replace any undetected rot this node still held for
-    // the block (add_replica cleared its marker).
-    if (auto lit = corrupt_injected_at_.find({block, target});
-        lit != corrupt_injected_at_.end()) {
-      lit->second.overwritten = true;
+    // the block (add_replica cleared its marker): the corruption stays
+    // latent but leaves the ledger, so a later strike gets its own entry.
+    if (corrupt_injected_at_.erase({block, target}) > 0) {
+      ++corruptions_overwritten_;
     }
     // A registered copy of a block with confirmed-corrupt history settles
     // one detection in the repair ledger (copies are fungible: whichever
@@ -1349,11 +1339,9 @@ void JobTracker::finish_rereplication(net::FlowId id, hdfs::BlockId block,
     // restores what the dropped corrupt one cost).
     if (auto cit = corrupt_pending_repair_.find(block);
         cit != corrupt_pending_repair_.end()) {
-      ++corruptions_repaired_;
+      ++counters_.corruptions_repaired;
       if (auditor_) {
-        auditor_->record(audit::Record::kRepair,
-                         (static_cast<std::uint64_t>(block) << 32) ^
-                             static_cast<std::uint64_t>(target));
+        auditor_->record(audit::Record::kRepair, pack_entity(block, target));
       }
       if (--cit->second <= 0) corrupt_pending_repair_.erase(cit);
     }
@@ -1383,8 +1371,8 @@ void JobTracker::inject_corruption(cluster::MachineId machine,
   // Only a live, still-clean replica can newly rot; anything else the strike
   // lands on is a no-op, so the injected counter never double-books.
   if (!namenode_.corrupt_replica(target, machine)) return;
-  ++corruptions_injected_;
-  corrupt_injected_at_[{target, machine}] = {sim_.now(), false};
+  ++counters_.corruptions_injected;
+  corrupt_injected_at_[{target, machine}] = sim_.now();
 }
 
 cluster::MachineId JobTracker::preferred_replica(
@@ -1402,7 +1390,8 @@ cluster::MachineId JobTracker::preferred_replica(
 }
 
 void JobTracker::verify_read(hdfs::BlockId block, cluster::MachineId reader) {
-  if (corruptions_injected_ == 0) return;  // nothing anywhere can be corrupt
+  // Nothing anywhere can be corrupt.
+  if (counters_.corruptions_injected == 0) return;
   // The reader tries replicas in preference order; every checksum mismatch
   // is reported to the NameNode (Hadoop's reportBadBlocks) and the read
   // fails over to the next replica, until a clean one answers or no replica
@@ -1414,22 +1403,21 @@ void JobTracker::verify_read(hdfs::BlockId block, cluster::MachineId reader) {
     failed_over = true;
     confirm_corruption(block, n);
   }
-  if (failed_over) ++corrupt_read_failovers_;
+  if (failed_over) ++counters_.corrupt_read_failovers;
 }
 
 void JobTracker::confirm_corruption(hdfs::BlockId block,
                                     cluster::MachineId node) {
-  ++corruptions_detected_;
+  ++counters_.corruptions_detected;
   if (auto it = corrupt_injected_at_.find({block, node});
       it != corrupt_injected_at_.end()) {
-    corruption_detection_latencies_.push_back(sim_.now() -
-                                              it->second.injected_at);
+    counters_.corruption_detection_latencies.push_back(sim_.now() -
+                                                       it->second);
     corrupt_injected_at_.erase(it);
   }
   if (auditor_) {
     auditor_->record(audit::Record::kCorruptionDetected,
-                     (static_cast<std::uint64_t>(block) << 32) ^
-                         static_cast<std::uint64_t>(node));
+                     pack_entity(block, node));
   }
   const std::size_t lost_before = namenode_.lost_blocks().size();
   namenode_.confirm_corrupt(block, node);
@@ -1437,7 +1425,7 @@ void JobTracker::confirm_corruption(hdfs::BlockId block,
     // That was the last replica: loud corrupt-block loss.  Earlier
     // detections of this block still queued for repair can never be
     // satisfied — they are lost with it.
-    ++data_loss_events_;
+    ++counters_.data_loss_events;
     if (auditor_) auditor_->record(audit::Record::kDataLoss, block);
     std::size_t lost = 1;
     if (auto pit = corrupt_pending_repair_.find(block);
@@ -1445,7 +1433,7 @@ void JobTracker::confirm_corruption(hdfs::BlockId block,
       lost += static_cast<std::size_t>(pit->second);
       corrupt_pending_repair_.erase(pit);
     }
-    corruptions_lost_ += lost;
+    counters_.corruptions_lost += lost;
     return;
   }
   // The replica dropped into the under-replication queue; the next finished
@@ -1460,7 +1448,7 @@ void JobTracker::scrub_tick() {
   if (rerep_limit_ <= 0) return;
   const std::size_t total = namenode_.num_blocks();
   if (total == 0) return;
-  ++scrub_passes_;
+  ++counters_.scrub_passes;
   double budget = config_.scrub_mbps * config_.scrub_period;
   std::uint64_t scanned = 0;
   std::size_t visited = 0;
@@ -1477,7 +1465,7 @@ void JobTracker::scrub_tick() {
     const std::vector<cluster::MachineId> locs = namenode_.locations(id);
     for (cluster::MachineId n : locs) {
       budget -= mb;
-      scrubbed_mb_ += mb;
+      counters_.scrubbed_mb += mb;
       ++scanned;
       if (namenode_.replica_corrupt(id, n)) confirm_corruption(id, n);
       if (budget <= 0.0) break;
@@ -1494,7 +1482,7 @@ void JobTracker::finalize_corruption() {
   for (auto it = corrupt_pending_repair_.begin();
        it != corrupt_pending_repair_.end();) {
     if (namenode_.block_lost(it->first)) {
-      corruptions_lost_ += static_cast<std::size_t>(it->second);
+      counters_.corruptions_lost += static_cast<std::size_t>(it->second);
       it = corrupt_pending_repair_.erase(it);
     } else {
       ++it;
@@ -1506,13 +1494,14 @@ void JobTracker::finalize_corruption() {
   }
   // Undetected injections stay latent: either the marker still sits on a
   // live replica, or the rotten replica evaporated with its node before
-  // anything read it.  A live replica whose marker vanished would mean the
-  // checksum state was silently cleared — a ledger violation, unless a
-  // re-replicated copy overwrote the rot after its node rejoined.
-  corruptions_latent_ = corrupt_injected_at_.size();
+  // anything read it (and was perhaps overwritten by a re-replicated copy
+  // after the node rejoined).  A live replica in the ledger whose marker
+  // vanished would mean the checksum state was silently cleared — a ledger
+  // violation.
+  counters_.corruptions_latent =
+      corrupt_injected_at_.size() + corruptions_overwritten_;
   if (auditor_ == nullptr) return;
-  for (const auto& [key, entry] : corrupt_injected_at_) {
-    if (entry.overwritten) continue;
+  for (const auto& [key, injected_at] : corrupt_injected_at_) {
     if (namenode_.is_local(key.first, key.second) &&
         !namenode_.replica_corrupt(key.first, key.second)) {
       auditor_->report_violation(
@@ -1520,13 +1509,14 @@ void JobTracker::finalize_corruption() {
           "latent corrupt replica lost its checksum marker");
     }
   }
-  if (corruptions_detected_ !=
-      corruptions_repaired_ + corruptions_lost_ + pending) {
+  if (counters_.corruptions_detected !=
+      counters_.corruptions_repaired + counters_.corruptions_lost + pending) {
     auditor_->report_violation(
         "corruption-conservation", audit::Severity::kError,
         "detected corruptions must be repaired, lost, or awaiting repair");
   }
-  if (corruptions_injected_ != corruptions_detected_ + corruptions_latent_) {
+  if (counters_.corruptions_injected !=
+      counters_.corruptions_detected + counters_.corruptions_latent) {
     auditor_->report_violation(
         "corruption-conservation", audit::Severity::kError,
         "injected corruptions must be detected or latent at finalize");
@@ -1536,7 +1526,7 @@ void JobTracker::finalize_corruption() {
 void JobTracker::crash_master() {
   EANT_CHECK(master_up_, "JobTracker master crashed while already down");
   master_up_ = false;
-  ++master_crashes_;
+  ++counters_.master_crashes;
   if (auditor_) auditor_->record(audit::Record::kMasterCrash, 0);
 }
 
@@ -1548,7 +1538,7 @@ void JobTracker::recover_master() {
     auditor_->record(audit::Record::kMasterRecover, 0);
     auditor_->on_master_epoch(master_epoch_);
   }
-  if (checkpoint_coverage_ >= 0.0) ++checkpoint_replays_;
+  if (checkpoint_coverage_ >= 0.0) ++counters_.checkpoint_replays;
   const Seconds now = sim_.now();
   const double fleet = std::max<double>(1.0, cluster_.size());
   for (cluster::MachineId m = 0; m < cluster_.size(); ++m) {
@@ -1583,7 +1573,7 @@ void JobTracker::recover_master() {
 void JobTracker::crash_namenode() {
   EANT_CHECK(namenode_up_, "NameNode crashed while already down");
   namenode_up_ = false;
-  ++master_crashes_;
+  ++counters_.master_crashes;
   nn_snapshot_ = namenode_.snapshot();
   if (auditor_) auditor_->record(audit::Record::kMasterCrash, 1);
 }
@@ -1714,8 +1704,7 @@ Seconds JobTracker::base_duration(const TaskSpec& spec,
   return base;
 }
 
-Seconds JobTracker::compute_duration(const JobState& /*js*/,
-                                     const TaskSpec& spec,
+Seconds JobTracker::compute_duration(const TaskSpec& spec,
                                      const cluster::Machine& machine,
                                      Locality locality) {
   Seconds d = base_duration(spec, machine, locality);
@@ -1837,15 +1826,15 @@ std::size_t JobTracker::preempt_attempt(JobId job, TaskKind kind,
     // callback already fired, this drains the transfer bookkeeping.
     abort_transfers(TransferKey{job, kind, index, m});
     ++preempted;
-    ++killed_attempts_;
-    ++preempted_attempts_;
+    ++counters_.killed_attempts;
+    ++counters_.preempted_attempts;
     last_machine = m;
     report_waste(*report, WasteReason::kPreempted);
     if (auditor_) {
-      auditor_->record(audit::Record::kPreempt,
-                       (static_cast<std::uint64_t>(job) << 32) ^
-                           (static_cast<std::uint64_t>(index) << 1) ^
-                           (kind == TaskKind::kReduce ? 1u : 0u));
+      auditor_->record(
+          audit::Record::kPreempt,
+          pack_entity(job, (static_cast<std::uint64_t>(index) << 1) ^
+                               (kind == TaskKind::kReduce ? 1u : 0u)));
     }
   }
   if (preempted == 0) return 0;
@@ -1859,12 +1848,7 @@ std::size_t JobTracker::preempt_attempt(JobId job, TaskKind kind,
 
 void JobTracker::handle_completion(TaskReport report) {
   if (!accepts_reports(report.machine)) {
-    // Master down or stale tracker epoch: the report lands in the orphan
-    // buffer for deterministic resolution at the tracker's re-registration.
-    ++fenced_completions_;
-    const auto key = std::make_tuple(report.spec.job, report.spec.kind,
-                                     report.spec.index, report.machine);
-    orphans_[key] = Orphan{std::move(report), /*failed=*/false};
+    fence_report(std::move(report), /*failed=*/false);
     return;
   }
   JobState& js = job_mutable(report.spec.job);
@@ -1881,11 +1865,10 @@ void JobTracker::handle_completion(TaskReport report) {
     // of defence before the result commits.  The tracker's finish event is
     // revoked (the auditor sees a revert, so the work never counts twice),
     // the attempt is charged like a failure, and the map re-executes.
-    ++task_output_corruptions_;
+    ++counters_.task_output_corruptions;
     if (auditor_) {
       auditor_->record(audit::Record::kCorruptionDetected,
-                       (static_cast<std::uint64_t>(report.spec.job) << 32) ^
-                           static_cast<std::uint64_t>(report.spec.index));
+                       pack_entity(report.spec.job, report.spec.index));
       auditor_->on_task_transition(report.spec.job, /*is_map=*/true,
                                    report.spec.index,
                                    audit::TaskEvent::kRevertDone,
@@ -1923,7 +1906,7 @@ void JobTracker::handle_completion(TaskReport report) {
 
   if (js.complete()) {
     js.set_finish_time(sim_.now());
-    ++jobs_completed_;
+    ++counters_.jobs_completed;
     active_.erase(std::remove(active_.begin(), active_.end(), js.id()),
                   active_.end());
     drop_job_bookkeeping(js.id());
@@ -1934,8 +1917,17 @@ void JobTracker::handle_completion(TaskReport report) {
   }
 }
 
+void JobTracker::fence_report(TaskReport report, bool failed) {
+  // Master down or stale tracker epoch: the report lands in the orphan
+  // buffer for deterministic resolution at the tracker's re-registration.
+  ++counters_.fenced_completions;
+  const auto key = std::make_tuple(report.spec.job, report.spec.kind,
+                                   report.spec.index, report.machine);
+  orphans_[key] = Orphan{std::move(report), failed};
+}
+
 void JobTracker::report_waste(const TaskReport& report, WasteReason reason) {
-  wasted_task_seconds_ += report.duration();
+  counters_.wasted_task_seconds += report.duration();
   if (waste_listener_) waste_listener_(report, reason);
 }
 
@@ -1952,7 +1944,7 @@ void JobTracker::record_crash_casualties(cluster::MachineId machine,
   EANT_CHECK(machine < tracker_states_.size(), "unknown tracker crashed");
   TrackerState& ts = tracker_states_[machine];
   ts.crash_pending = true;
-  killed_attempts_ += killed.size();
+  counters_.killed_attempts += killed.size();
   for (auto& r : killed) {
     report_waste(r, WasteReason::kCrashKilled);
     ts.lost_attempts.push_back(std::move(r));
@@ -1964,10 +1956,7 @@ void JobTracker::record_crash_casualties(cluster::MachineId machine,
 
 void JobTracker::handle_task_failure(TaskReport report) {
   if (!accepts_reports(report.machine)) {
-    ++fenced_completions_;
-    const auto key = std::make_tuple(report.spec.job, report.spec.kind,
-                                     report.spec.index, report.machine);
-    orphans_[key] = Orphan{std::move(report), /*failed=*/true};
+    fence_report(std::move(report), /*failed=*/true);
     return;
   }
   charge_attempt_failure(std::move(report), WasteReason::kAttemptFailed);
@@ -1977,7 +1966,7 @@ void JobTracker::charge_attempt_failure(TaskReport report, WasteReason reason) {
   const cluster::MachineId m = report.machine;
   EANT_CHECK(m < tracker_states_.size(), "failure from unknown tracker");
   TrackerState& ts = tracker_states_[m];
-  ++failed_attempts_;
+  ++counters_.failed_attempts;
   report_waste(report, reason);
   scheduler_.on_task_failed(report.spec, m);
 
@@ -2012,11 +2001,9 @@ void JobTracker::charge_attempt_failure(TaskReport report, WasteReason reason) {
     fail_job(js);
     return;
   }
-  js.clear_speculative(kind, index);
-  if (!running_elsewhere(report.spec.job, kind, index)) {
-    js.unclaim(kind, index, m);  // re-queue for the next attempt
-  }
-  // else: the speculative twin is still running and carries the task alone.
+  // Re-queue for the next attempt, unless the speculative twin still runs
+  // and carries the task alone.
+  requeue_task(report.spec.job, kind, index, m);
 }
 
 void JobTracker::check_tracker_expiry() {
@@ -2041,7 +2028,7 @@ void JobTracker::reclaim_lost_work(cluster::MachineId machine,
   ts.crash_pending = false;
   // Drop the dead datanode's replicas BEFORE reverting its maps, so the
   // re-seeded locality indices already exclude it.
-  if (datanode_lost) handle_datanode_loss(machine);
+  if (datanode_lost) apply_datanode_mark(machine, /*dead=*/true);
   RecoveryRecord rec;
   rec.start = sim_.now();
 
@@ -2056,35 +2043,17 @@ void JobTracker::reclaim_lost_work(cluster::MachineId machine,
     const Orphan orphan = std::move(it->second);
     it = orphans_.erase(it);
     const TaskSpec& spec = orphan.report.spec;
-    if (auditor_) {
-      auditor_->on_task_transition(spec.job, spec.kind == TaskKind::kMap,
-                                   spec.index, audit::TaskEvent::kOrphanRequeue,
-                                   machine);
+    if (write_off_orphan(orphan.report, 3)) {
+      rec.outstanding.insert({spec.job, spec.kind, spec.index});
     }
-    note_orphan_outcome(spec, machine, 3);
-    ++orphans_requeued_;
-    report_waste(orphan.report, WasteReason::kOrphaned);
-    JobState& ojs = job_mutable(spec.job);
-    if (ojs.failed() || ojs.complete()) continue;
-    if (ojs.status(spec.kind, spec.index) != TaskStatus::kRunning) continue;
-    ojs.clear_speculative(spec.kind, spec.index);
-    if (running_elsewhere(spec.job, spec.kind, spec.index)) continue;
-    ojs.unclaim(spec.kind, spec.index, machine);
-    rec.outstanding.insert({spec.job, spec.kind, spec.index});
   }
 
   // Attempts that were running when the node died: back to Pending, unless a
   // speculative twin elsewhere already carries (or carried) the task.
   for (auto& r : ts.lost_attempts) {
-    JobState& js = job_mutable(r.spec.job);
-    if (js.failed() || js.complete()) continue;
-    const TaskKind kind = r.spec.kind;
-    const TaskIndex index = r.spec.index;
-    if (js.status(kind, index) != TaskStatus::kRunning) continue;
-    js.clear_speculative(kind, index);
-    if (running_elsewhere(r.spec.job, kind, index)) continue;
-    js.unclaim(kind, index, machine);
-    rec.outstanding.insert({r.spec.job, kind, index});
+    if (requeue_task(r.spec.job, r.spec.kind, r.spec.index, machine)) {
+      rec.outstanding.insert({r.spec.job, r.spec.kind, r.spec.index});
+    }
   }
   ts.lost_attempts.clear();
 
@@ -2093,16 +2062,10 @@ void JobTracker::reclaim_lost_work(cluster::MachineId machine,
   for (auto& [key, r] : ts.map_outputs) {
     JobState& js = job_mutable(key.first);
     if (js.failed() || js.complete()) continue;
-    if (js.status(TaskKind::kMap, key.second) != TaskStatus::kDone) continue;
-    js.revert_done_map(key.second, r.duration(),
-                       namenode_.locations(r.spec.block), machine);
-    if (auditor_) {
-      auditor_->on_task_transition(key.first, true, key.second,
-                                   audit::TaskEvent::kRevertDone, machine);
+    if (revert_map_output(js, r, machine, counters_.lost_map_outputs,
+                          WasteReason::kLostMapOutput)) {
+      rec.outstanding.insert({key.first, TaskKind::kMap, key.second});
     }
-    ++lost_map_outputs_;
-    report_waste(r, WasteReason::kLostMapOutput);
-    rec.outstanding.insert({key.first, TaskKind::kMap, key.second});
   }
   ts.map_outputs.clear();
 
@@ -2113,7 +2076,7 @@ void JobTracker::note_recovered(JobId job, TaskKind kind, TaskIndex index) {
   for (auto it = recoveries_.begin(); it != recoveries_.end();) {
     it->outstanding.erase({job, kind, index});
     if (it->outstanding.empty()) {
-      recovery_times_.push_back(sim_.now() - it->start);
+      counters_.recovery_times.push_back(sim_.now() - it->start);
       it = recoveries_.erase(it);
     } else {
       ++it;
@@ -2122,7 +2085,7 @@ void JobTracker::note_recovered(JobId job, TaskKind kind, TaskIndex index) {
 }
 
 void JobTracker::drop_job_bookkeeping(JobId job) {
-  std::erase_if(fetch_state_,
+  std::erase_if(fetch_failures_by_source_,
                 [job](const auto& kv) { return kv.first.first == job; });
   std::erase_if(reduce_fetch_strikes_,
                 [job](const auto& kv) { return kv.first.first == job; });
@@ -2146,7 +2109,7 @@ void JobTracker::drop_job_bookkeeping(JobId job) {
 void JobTracker::fail_job(JobState& js) {
   js.set_failed();
   js.set_finish_time(sim_.now());
-  ++jobs_failed_;
+  ++counters_.jobs_failed;
   active_.erase(std::remove(active_.begin(), active_.end(), js.id()),
                 active_.end());
   // Kill the job's surviving attempts everywhere; their partial work is

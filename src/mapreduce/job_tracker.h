@@ -214,6 +214,108 @@ enum class WasteReason {
   kCorruption,     ///< work redone because its input or output was corrupt
 };
 
+/// Every monotone tally the JobTracker keeps over one run.  A tally is one
+/// field here, bumped where it happens; exp::RunMetrics inherits the struct,
+/// so a new counter reaches every experiment without a copy line.
+struct JobTrackerCounters {
+  // --- jobs ------------------------------------------------------------------
+  std::size_t jobs_completed = 0;
+  std::size_t jobs_failed = 0;
+  /// Jobs rejected by admission control and dropped after exhausting their
+  /// backoff retries (they never received a JobId).
+  std::size_t jobs_dropped = 0;
+
+  // --- attempts --------------------------------------------------------------
+  /// Attempts killed by machine crashes / transient failures so far.
+  std::size_t killed_attempts = 0;
+  std::size_t failed_attempts = 0;
+  /// Attempts killed by scheduler preemption (subset of killed_attempts).
+  std::size_t preempted_attempts = 0;
+  /// Completed maps re-executed because their output died with a node.
+  std::size_t lost_map_outputs = 0;
+  /// Task-seconds of work thrown away (killed, failed and re-run attempts).
+  double wasted_task_seconds = 0.0;
+  /// One entry per node-loss episode that orphaned work: seconds from loss
+  /// detection until every re-queued task had completed again.
+  std::vector<Seconds> recovery_times;
+  /// Times any node entered quarantine.
+  std::size_t quarantine_episodes = 0;
+
+  // --- scheduler-cost attribution --------------------------------------------
+  /// Heartbeats processed live (fenced ones excluded).
+  std::uint64_t heartbeats = 0;
+  /// Scheduler::select_job invocations (one per slot offer).
+  std::uint64_t select_job_calls = 0;
+  /// Wall-clock seconds spent inside Scheduler::select_job; 0 unless
+  /// JobTrackerConfig::measure_scheduler_time is set.
+  double select_job_wall_seconds = 0.0;
+
+  // --- degraded mode ---------------------------------------------------------
+  /// Shuffle fetches that failed mid-flight (link fault, partition, or
+  /// injected transient fetch error).
+  std::size_t fetch_failures = 0;
+  /// Completed maps re-executed via the fetch-failure mechanism (their
+  /// output was unreachable fetch_failure_threshold times).
+  std::size_t fetch_reexecuted_maps = 0;
+  /// Reduce attempts that FAILED after exhausting their per-attempt fetch
+  /// budget (kReduceFetchAbortLimit) — the escape hatch that turns a
+  /// hopeless shuffle into a loud job failure instead of a livelock.
+  std::size_t fetch_aborted_attempts = 0;
+  /// Flows restarted from a different source because theirs crashed.
+  std::size_t retransferred_flows = 0;
+  /// Blocks restored to full replication after a datanode loss.
+  std::size_t rereplicated_blocks = 0;
+  /// Bytes moved by re-replication traffic.
+  Megabytes rereplication_mb = 0.0;
+  /// Blocks whose last replica died (each one recorded, never silent).
+  std::size_t data_loss_events = 0;
+
+  // --- data integrity --------------------------------------------------------
+  /// Replica corruptions injected (strikes on a live, still-clean replica).
+  std::size_t corruptions_injected = 0;
+  /// Corrupt replicas confirmed by a checksummed read or the scrubber.
+  std::size_t corruptions_detected = 0;
+  /// Confirmed-corrupt replicas restored through the re-replication queue.
+  std::size_t corruptions_repaired = 0;
+  /// Detections that ended in corrupt-block loss (no clean replica left, or
+  /// the block died before its repair could run).
+  std::size_t corruptions_lost = 0;
+  /// Injected corruptions never detected (set by finalize_corruption).
+  std::size_t corruptions_latent = 0;
+  /// Reads that failed over past at least one corrupt replica.
+  std::size_t corrupt_read_failovers = 0;
+  /// Shuffle fetches whose payload failed verification (each one also counts
+  /// as a fetch failure).
+  std::size_t shuffle_corruptions = 0;
+  /// Map completions rejected by end-to-end output verification.
+  std::size_t task_output_corruptions = 0;
+  /// Bytes scanned by the background scrubber.
+  Megabytes scrubbed_mb = 0.0;
+  /// Scrub ticks that actually scanned (master + NameNode up, not browned
+  /// out).
+  std::size_t scrub_passes = 0;
+  /// Seconds from injection to detection, one entry per detected corruption.
+  std::vector<Seconds> corruption_detection_latencies;
+
+  // --- control plane ---------------------------------------------------------
+  /// Control-plane (JobTracker + NameNode) process deaths observed.
+  std::size_t master_crashes = 0;
+  /// Committed edit-log checkpoints.
+  std::size_t checkpoints_written = 0;
+  /// Recoveries that replayed a non-empty checkpointed attempt table.
+  std::size_t checkpoint_replays = 0;
+  /// Heartbeats rejected for a down master, a stale epoch or a closed
+  /// re-registration gate.
+  std::size_t fenced_heartbeats = 0;
+  /// Completion/failure reports buffered as orphans instead of applied.
+  std::size_t fenced_completions = 0;
+  /// Orphaned attempts committed from checkpoint coverage at re-registration.
+  std::size_t orphans_committed = 0;
+  /// Orphaned attempts discarded and requeued (uncovered, or their node
+  /// died before re-registering).
+  std::size_t orphans_requeued = 0;
+};
+
 /// Master node: job admission, heartbeat-driven assignment, lifecycle.
 class JobTracker {
  public:
@@ -237,9 +339,6 @@ class JobTracker {
 
   /// Non-null once attach_fabric() was called.
   net::Fabric* fabric() { return fabric_; }
-
-  /// Flows restarted from a different source because theirs crashed.
-  std::size_t retransferred_flows() const { return retransferred_flows_; }
 
   TaskTracker& tracker(cluster::MachineId id);
 
@@ -323,15 +422,35 @@ class JobTracker {
   /// the retry to settle; a workload rejected-and-dropped in its entirety
   /// still terminates (the dropped count keeps the sum positive).
   bool all_done() const {
-    return jobs_completed_ + jobs_failed_ == jobs_expected_ &&
-           jobs_expected_ + jobs_dropped_ > 0;
+    return counters_.jobs_completed + counters_.jobs_failed == jobs_expected_ &&
+           jobs_expected_ + counters_.jobs_dropped > 0;
   }
-  std::size_t jobs_completed() const { return jobs_completed_; }
-  std::size_t jobs_failed() const { return jobs_failed_; }
 
-  /// Jobs rejected by admission control and dropped after exhausting their
-  /// backoff retries (they never received a JobId).
-  std::size_t jobs_dropped() const { return jobs_dropped_; }
+  /// Every run tally (see JobTrackerCounters).
+  const JobTrackerCounters& counters() const { return counters_; }
+
+  // The benchmark under perfbench/ reads these twelve tallies by name; they
+  // stay as plain reads of counters() so it builds against the tree.
+  std::uint64_t heartbeats() const { return counters_.heartbeats; }
+  std::uint64_t select_job_calls() const { return counters_.select_job_calls; }
+  std::size_t killed_attempts() const { return counters_.killed_attempts; }
+  std::size_t failed_attempts() const { return counters_.failed_attempts; }
+  std::size_t rereplicated_blocks() const {
+    return counters_.rereplicated_blocks;
+  }
+  std::size_t corruptions_injected() const {
+    return counters_.corruptions_injected;
+  }
+  std::size_t corruptions_detected() const {
+    return counters_.corruptions_detected;
+  }
+  std::size_t corruptions_repaired() const {
+    return counters_.corruptions_repaired;
+  }
+  Megabytes scrubbed_mb() const { return counters_.scrubbed_mb; }
+  std::size_t jobs_completed() const { return counters_.jobs_completed; }
+  std::size_t jobs_failed() const { return counters_.jobs_failed; }
+  std::size_t jobs_dropped() const { return counters_.jobs_dropped; }
 
   // --- overload protection ------------------------------------------------------
 
@@ -364,58 +483,9 @@ class JobTracker {
   /// The node's progress-rate health EWMA (exactly 1.0 when never degraded).
   double node_health(cluster::MachineId id) const;
 
-  /// Times any node entered quarantine.
-  std::size_t quarantine_episodes() const { return quarantine_episodes_; }
-
   /// Progress fraction of the task's live attempt in [0, 1] (max over its
   /// attempts when a speculative twin runs); -1 when no tracker runs it.
   double running_progress(JobId job, TaskKind kind, TaskIndex index) const;
-
-  /// Attempts killed by machine crashes / transient failures so far.
-  std::size_t killed_attempts() const { return killed_attempts_; }
-  std::size_t failed_attempts() const { return failed_attempts_; }
-
-  /// Attempts killed by scheduler preemption (subset of killed_attempts).
-  std::size_t preempted_attempts() const { return preempted_attempts_; }
-
-  // --- scheduler-cost attribution ----------------------------------------------
-
-  /// Heartbeats processed live (fenced ones excluded).
-  std::uint64_t heartbeats() const { return heartbeats_; }
-
-  /// Scheduler::select_job invocations (one per slot offer).
-  std::uint64_t select_job_calls() const { return select_job_calls_; }
-
-  /// Wall-clock seconds spent inside Scheduler::select_job; 0 unless
-  /// JobTrackerConfig::measure_scheduler_time is set.
-  double select_job_wall_seconds() const { return select_job_wall_seconds_; }
-
-  /// Completed maps re-executed because their output died with a node.
-  std::size_t lost_map_outputs() const { return lost_map_outputs_; }
-
-  // --- degraded-mode queries --------------------------------------------------
-
-  /// Shuffle fetches that failed mid-flight (link fault, partition, or
-  /// injected transient fetch error).
-  std::size_t fetch_failures() const { return fetch_failures_; }
-
-  /// Completed maps re-executed via the fetch-failure mechanism (their
-  /// output was unreachable fetch_failure_threshold times).
-  std::size_t fetch_reexecuted_maps() const { return fetch_reexecuted_maps_; }
-
-  /// Reduce attempts that FAILED after exhausting their per-attempt fetch
-  /// budget (kReduceFetchAbortLimit) — the escape hatch that turns a
-  /// hopeless shuffle into a loud job failure instead of a livelock.
-  std::size_t fetch_aborted_attempts() const { return fetch_aborted_attempts_; }
-
-  /// Blocks restored to full replication after a datanode loss.
-  std::size_t rereplicated_blocks() const { return rereplicated_blocks_; }
-
-  /// Bytes moved by re-replication traffic.
-  Megabytes rereplication_mb() const { return rereplication_mb_; }
-
-  /// Blocks whose last replica died (each one recorded, never silent).
-  std::size_t data_loss_events() const { return data_loss_events_; }
 
   /// Re-replication streams currently in flight (experiments drain this to
   /// zero before reading HDFS invariants).
@@ -448,51 +518,10 @@ class JobTracker {
 
   /// Closes the corruption ledger and checks its conservation law: every
   /// detection must be repaired, lost loudly, or still queued for repair,
-  /// and every undetected injection must still carry its latent checksum
-  /// marker.  Idempotent; called by the Run harness before reading metrics.
+  /// and every undetected injection on a live replica must still carry its
+  /// latent checksum marker.  Idempotent; called by the Run harness before
+  /// reading metrics.
   void finalize_corruption();
-
-  /// Replica corruptions injected (strikes on a live, still-clean replica).
-  std::size_t corruptions_injected() const { return corruptions_injected_; }
-
-  /// Corrupt replicas confirmed by a checksummed read or the scrubber.
-  std::size_t corruptions_detected() const { return corruptions_detected_; }
-
-  /// Confirmed-corrupt replicas restored through the re-replication queue.
-  std::size_t corruptions_repaired() const { return corruptions_repaired_; }
-
-  /// Detections that ended in corrupt-block loss (no clean replica left, or
-  /// the block died before its repair could run).
-  std::size_t corruptions_lost() const { return corruptions_lost_; }
-
-  /// Injected corruptions never detected (set by finalize_corruption).
-  std::size_t corruptions_latent() const { return corruptions_latent_; }
-
-  /// Reads that failed over past at least one corrupt replica.
-  std::size_t corrupt_read_failovers() const {
-    return corrupt_read_failovers_;
-  }
-
-  /// Shuffle fetches whose payload failed verification (each one also counts
-  /// as a fetch failure).
-  std::size_t shuffle_corruptions() const { return shuffle_corruptions_; }
-
-  /// Map completions rejected by end-to-end output verification.
-  std::size_t task_output_corruptions() const {
-    return task_output_corruptions_;
-  }
-
-  /// Bytes scanned by the background scrubber.
-  Megabytes scrubbed_mb() const { return scrubbed_mb_; }
-
-  /// Scrub ticks that actually scanned (master + NameNode up, not browned
-  /// out).
-  std::size_t scrub_passes() const { return scrub_passes_; }
-
-  /// Seconds from injection to detection, one entry per detected corruption.
-  const std::vector<Seconds>& corruption_detection_latencies() const {
-    return corruption_detection_latencies_;
-  }
 
   // --- control-plane fault tolerance ------------------------------------------
 
@@ -532,41 +561,11 @@ class JobTracker {
   /// registered under an older epoch are buffered until re-registration.
   std::uint64_t master_epoch() const { return master_epoch_; }
 
-  /// Control-plane (JobTracker + NameNode) process deaths observed.
-  std::size_t master_crashes() const { return master_crashes_; }
-  std::size_t checkpoints_written() const { return checkpoints_written_; }
-
-  /// Recoveries that replayed a non-empty checkpointed attempt table.
-  std::size_t checkpoint_replays() const { return checkpoint_replays_; }
-
-  /// Heartbeats rejected for a down master, a stale epoch or a closed
-  /// re-registration gate.
-  std::size_t fenced_heartbeats() const { return fenced_heartbeats_; }
-
-  /// Completion/failure reports buffered as orphans instead of applied.
-  std::size_t fenced_completions() const { return fenced_completions_; }
-
-  /// Orphaned attempts committed from checkpoint coverage at re-registration.
-  std::size_t orphans_committed() const { return orphans_committed_; }
-
-  /// Orphaned attempts discarded and requeued (uncovered, or their node
-  /// died before re-registering).
-  std::size_t orphans_requeued() const { return orphans_requeued_; }
-
   /// Order-independent digest over every orphan resolution this run:
   /// (job, kind, index, machine) -> outcome sequence, no timestamps.  Two
   /// runs resolving the same orphans the same way hash identically even if
   /// re-registration order differs (the storm-throttle invariance test).
   std::uint64_t orphan_resolution_digest() const;
-
-  /// Task-seconds of work thrown away (killed, failed and re-run attempts).
-  double wasted_task_seconds() const { return wasted_task_seconds_; }
-
-  /// One entry per node-loss episode that orphaned work: seconds from loss
-  /// detection until every re-queued task had completed again.
-  const std::vector<Seconds>& recovery_times() const {
-    return recovery_times_;
-  }
 
   cluster::Cluster& cluster() { return cluster_; }
   const hdfs::NameNode& namenode() const { return namenode_; }
@@ -677,12 +676,6 @@ class JobTracker {
     Megabytes mb = 0.0;
   };
 
-  /// Fetch-failure bookkeeping per (job, map-output source): Hadoop's
-  /// per-source failed-fetch counter behind the threshold mechanism.
-  struct FetchState {
-    int failures = 0;
-  };
-
   JobState& job_mutable(JobId id);
   void try_assign(TaskTracker& tracker, TaskKind kind);
   /// select_job with the scheduler-cost attribution wrapped around it (the
@@ -692,7 +685,7 @@ class JobTracker {
   void try_speculate(TaskTracker& tracker, TaskKind kind);
   Seconds base_duration(const TaskSpec& spec, const cluster::Machine& machine,
                         Locality locality) const;
-  Seconds compute_duration(const JobState& js, const TaskSpec& spec,
+  Seconds compute_duration(const TaskSpec& spec,
                            const cluster::Machine& machine, Locality locality);
   void maybe_build_reduces(JobState& js);
   double shuffle_skew_penalty(const JobState& js) const;
@@ -705,7 +698,10 @@ class JobTracker {
                         net::TransferClass cls);
   void on_flow_complete(net::FlowId id, const TransferKey& key);
   void on_flow_failed(net::FlowId id, Megabytes remaining_mb);
-  void begin_compute_for(const TransferKey& key, const PendingTransfer& pt);
+  /// Once a transfer's flows and backoff retries have all drained, retires
+  /// its bookkeeping and starts the attempt's compute phase; no-op before.
+  void begin_compute_if_drained(
+      std::map<TransferKey, PendingTransfer>::iterator it);
   void abort_transfers(const TransferKey& key);
   void handle_network_casualties(cluster::MachineId dead);
   void start_replication_flows(const JobState& js, const TaskReport& report);
@@ -718,7 +714,6 @@ class JobTracker {
   void declare_map_outputs_lost(JobId job, cluster::MachineId source);
   void kill_fetching_attempt(const TransferKey& key);
   void fail_fetching_attempt(const TransferKey& key);
-  void handle_datanode_loss(cluster::MachineId machine);
   /// Checksummed read of a map input: fails over past corrupt replicas,
   /// confirming each one, until a clean replica answers or the block is
   /// lost.  No-op (and no state touched) when nothing is corrupt.
@@ -746,7 +741,24 @@ class JobTracker {
   void reregister_tracker(TaskTracker& tracker);
   void resolve_orphans(cluster::MachineId machine, bool commit_allowed);
   void reconcile_running_attempts(TaskTracker& tracker);
-  void requeue_orphaned_task(const TaskSpec& spec, cluster::MachineId machine);
+  /// Buffers a completion or failure report from a fenced tracker as an
+  /// orphan, resolved at the tracker's re-registration.
+  void fence_report(TaskReport report, bool failed);
+  /// Discards an orphaned report (audited kOrphanRequeue, outcome noted,
+  /// work reported wasted) and requeues its task; returns requeue_task's
+  /// answer.
+  bool write_off_orphan(const TaskReport& report, int outcome);
+  /// Returns a live Running task to Pending after its attempt on `machine`
+  /// died, unless a speculative twin elsewhere still carries it.  Returns
+  /// true iff the task was unclaimed.
+  bool requeue_task(JobId job, TaskKind kind, TaskIndex index,
+                    cluster::MachineId machine);
+  /// Reverts a Done map whose output on `source` is gone (audited
+  /// kRevertDone, `counter` bumped, work reported wasted for `reason`);
+  /// false when the map is not Done.
+  bool revert_map_output(JobState& js, const TaskReport& r,
+                         cluster::MachineId source, std::size_t& counter,
+                         WasteReason reason);
   void note_orphan_outcome(const TaskSpec& spec, cluster::MachineId machine,
                            int outcome);
   void replay_pending_submissions();
@@ -794,11 +806,13 @@ class JobTracker {
   std::map<net::FlowId, OwnedFlow> flow_owner_;
   std::uint64_t transfer_generation_ = 0;
   bool legacy_network_noted_ = false;
-  std::size_t retransferred_flows_ = 0;
+  JobTrackerCounters counters_;
 
   // --- degraded-mode state ----------------------------------------------------
 
-  std::map<std::pair<JobId, cluster::MachineId>, FetchState> fetch_state_;
+  /// Failed fetches per (job, map-output source): Hadoop's per-source
+  /// counter behind the fetch-failure threshold.
+  std::map<std::pair<JobId, cluster::MachineId>, int> fetch_failures_by_source_;
   /// Fetch-failure strikes per reduce task (not per attempt: kills reset an
   /// attempt, the strikes persist until a shuffle completes or the task
   /// FAILS and is charged).
@@ -806,43 +820,23 @@ class JobTracker {
   /// In-flight re-replication flows: flow id -> the block being copied.
   std::map<net::FlowId, hdfs::BlockId> rerep_flows_;
   int rerep_active_ = 0;
-  std::size_t fetch_failures_ = 0;
-  std::size_t fetch_reexecuted_maps_ = 0;
-  std::size_t fetch_aborted_attempts_ = 0;
-  std::size_t rereplicated_blocks_ = 0;
-  Megabytes rereplication_mb_ = 0.0;
-  std::size_t data_loss_events_ = 0;
   Seconds last_fault_decay_ = 0.0;
 
   // --- data-integrity state ---------------------------------------------------
 
-  std::size_t corruptions_injected_ = 0;
-  std::size_t corruptions_detected_ = 0;
-  std::size_t corruptions_repaired_ = 0;
-  std::size_t corruptions_lost_ = 0;
-  std::size_t corruptions_latent_ = 0;
-  std::size_t corrupt_read_failovers_ = 0;
-  std::size_t shuffle_corruptions_ = 0;
-  std::size_t task_output_corruptions_ = 0;
-  Megabytes scrubbed_mb_ = 0.0;
-  std::size_t scrub_passes_ = 0;
-  /// Ledger entry of one still-undetected corrupt replica.
-  struct LatentCorruption {
-    Seconds injected_at = 0.0;
-    /// A re-replicated copy later landed on the same node and overwrote the
-    /// rot (the replica was dropped with its node, which then rejoined), so
-    /// the clean marker at finalize is expected.
-    bool overwritten = false;
-  };
-  /// Per still-undetected corrupt replica — erased at detection (feeding the
-  /// latency histogram); what survives to finalize is the latent set.
-  std::map<std::pair<hdfs::BlockId, cluster::MachineId>, LatentCorruption>
+  /// Injection time per still-undetected corrupt replica — erased at
+  /// detection (feeding the latency histogram); what survives to finalize is
+  /// the latent set.
+  std::map<std::pair<hdfs::BlockId, cluster::MachineId>, Seconds>
       corrupt_injected_at_;
+  /// Undetected corruptions whose rotten replica was dropped with its node
+  /// and later overwritten by a re-replicated copy after the node rejoined.
+  /// They left the ledger (a new strike may reuse the key) but stay latent.
+  std::size_t corruptions_overwritten_ = 0;
   /// Detections routed into the re-replication queue whose repair has not
   /// finished yet, per block.  finish_rereplication drains it one repair per
   /// completed copy; corrupt-block loss converts the remainder to lost.
   std::map<hdfs::BlockId, int> corrupt_pending_repair_;
-  std::vector<Seconds> corruption_detection_latencies_;
   hdfs::BlockId scrub_cursor_ = 0;
   bool corruption_finalized_ = false;
   sim::EventId scrub_event_ = 0;
@@ -852,9 +846,6 @@ class JobTracker {
   std::vector<JobId> active_;
   std::vector<double> capability_share_;
   std::size_t jobs_expected_ = 0;
-  std::size_t jobs_completed_ = 0;
-  std::size_t jobs_failed_ = 0;
-  std::size_t jobs_dropped_ = 0;
 
   // --- overload protection ----------------------------------------------------
 
@@ -868,16 +859,6 @@ class JobTracker {
 
   std::vector<TrackerState> tracker_states_;
   std::vector<RecoveryRecord> recoveries_;
-  std::vector<Seconds> recovery_times_;
-  std::size_t killed_attempts_ = 0;
-  std::size_t failed_attempts_ = 0;
-  std::size_t preempted_attempts_ = 0;
-  std::uint64_t heartbeats_ = 0;
-  std::uint64_t select_job_calls_ = 0;
-  double select_job_wall_seconds_ = 0.0;
-  std::size_t lost_map_outputs_ = 0;
-  double wasted_task_seconds_ = 0.0;
-  std::size_t quarantine_episodes_ = 0;
   Seconds last_quarantine_decay_ = 0.0;
   sim::EventId expiry_event_ = 0;
   sim::EventId detector_event_ = 0;
@@ -913,13 +894,6 @@ class JobTracker {
   std::vector<std::pair<cluster::MachineId, bool>> pending_datanode_marks_;
   /// fsimage pinned at NameNode crash, restored at its recovery.
   std::optional<hdfs::NameNode::Snapshot> nn_snapshot_;
-  std::size_t master_crashes_ = 0;
-  std::size_t checkpoints_written_ = 0;
-  std::size_t checkpoint_replays_ = 0;
-  std::size_t fenced_heartbeats_ = 0;
-  std::size_t fenced_completions_ = 0;
-  std::size_t orphans_committed_ = 0;
-  std::size_t orphans_requeued_ = 0;
   sim::EventId checkpoint_event_ = 0;
 
   std::function<void(const TaskReport&)> report_listener_;

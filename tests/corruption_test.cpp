@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <optional>
 #include <set>
 #include <tuple>
@@ -333,7 +334,7 @@ TEST(CorruptionRun, ScrubberDetectsAndRepairsThroughRereplication) {
   EXPECT_GT(m.rereplication_mb, 0.0);
   // Detection latencies are recorded per detection, and detection beats the
   // read path's "whenever a map happens to look".
-  EXPECT_EQ(run.job_tracker().corruption_detection_latencies().size(),
+  EXPECT_EQ(run.job_tracker().counters().corruption_detection_latencies.size(),
             m.corruptions_detected);
   EXPECT_GT(m.mean_detection_latency, 0.0);
   EXPECT_EQ(m.jobs_failed, 0u);
@@ -496,47 +497,89 @@ TEST(CorruptionRun, ConservationHoldsWithEveryFamilyActive) {
   EXPECT_EQ(m.jobs_failed, 0u);
 }
 
-TEST(CorruptionRun, RereplicationOntoRejoinedNodeOverwritesLatentRot) {
-  // Three machines, replication 3: every block has a replica on every node,
-  // so a block that lost its copy with a dead node can only be re-replicated
-  // back onto that node once it rejoins.  Rot machine 2's replica after the
-  // job has read everything, then crash the machine past the expiry window:
-  // the rotten replica drops with the node, and the copy that refills it on
-  // rejoin overwrites the rot.  The strike stays latent, and the audit must
-  // not mistake the clean marker for a silently cleared checksum.
-  exp::RunConfig cfg = base_config(5);
+// Three machines, replication 3: every block has a replica on every node,
+// so a block that lost its copy with a dead node can only be re-replicated
+// back onto that node once it rejoins.  Rot machine 2's replica after the
+// job has read everything, then crash the machine past the expiry window:
+// the rotten replica drops with the node, and the copy that refills it on
+// rejoin overwrites the rot.
+constexpr Seconds kRotCrashTime = 2000.0;
+constexpr Seconds kRotDowntime = 200.0;
+constexpr hdfs::BlockId kRotBlock = 0;
+
+std::unique_ptr<exp::Run> overwritten_rot_run(exp::RunConfig cfg) {
   cfg.job_tracker.tracker_expiry_window = 30.0;
-  const Seconds crash_time = 2000.0;
-  const Seconds downtime = 200.0;
-  cfg.faults.crash_for(2, crash_time, downtime);
-  exp::Run run(exp::homogeneous(cluster::catalog::desktop(), 3),
-               exp::SchedulerKind::kFifo, cfg);
-  run.submit({exp::single_job(workload::AppKind::kWordcount, 64.0 * 6, 1)});
-  run.execute();
+  cfg.faults.crash_for(2, kRotCrashTime, kRotDowntime);
+  auto run = std::make_unique<exp::Run>(
+      exp::homogeneous(cluster::catalog::desktop(), 3),
+      exp::SchedulerKind::kFifo, cfg);
+  run->submit({exp::single_job(workload::AppKind::kWordcount, 64.0 * 6, 1)});
+  run->execute();
+  return run;
+}
+
+/// Strikes kRotBlock on machine 2, then steps past the crash, the loss
+/// declaration, the rejoin and the re-replication that overwrites the rot.
+void rot_then_overwrite(exp::Run& run) {
   auto& sim = run.simulator();
   auto& jt = run.job_tracker();
-  ASSERT_LT(sim.now(), crash_time);
-
-  const hdfs::BlockId block = 0;
-  ASSERT_TRUE(run.namenode().is_local(block, 2));
-  jt.inject_corruption(2, static_cast<std::int64_t>(block), 0.0);
-  ASSERT_TRUE(run.namenode().replica_corrupt(block, 2));
-
-  // Heartbeats keep the simulator running after the workload drains: step
-  // past the crash, the loss declaration, the rejoin and its re-replication.
-  while (sim.now() < crash_time + downtime + 60.0 ||
+  ASSERT_LT(sim.now(), kRotCrashTime);
+  ASSERT_TRUE(run.namenode().is_local(kRotBlock, 2));
+  jt.inject_corruption(2, static_cast<std::int64_t>(kRotBlock), 0.0);
+  ASSERT_TRUE(run.namenode().replica_corrupt(kRotBlock, 2));
+  // Heartbeats keep the simulator running after the workload drains.
+  while (sim.now() < kRotCrashTime + kRotDowntime + 60.0 ||
          jt.rereplication_active() > 0) {
     ASSERT_TRUE(sim.step());
   }
-  ASSERT_TRUE(run.namenode().is_local(block, 2));
-  ASSERT_FALSE(run.namenode().replica_corrupt(block, 2));
+  ASSERT_TRUE(run.namenode().is_local(kRotBlock, 2));
+  ASSERT_FALSE(run.namenode().replica_corrupt(kRotBlock, 2));
+}
 
-  const exp::RunMetrics m = run.metrics();
+TEST(CorruptionRun, RereplicationOntoRejoinedNodeOverwritesLatentRot) {
+  // The strike stays latent, and the audit must not mistake the clean
+  // marker for a silently cleared checksum.
+  const auto run = overwritten_rot_run(base_config(5));
+  rot_then_overwrite(*run);
+
+  const exp::RunMetrics m = run->metrics();
   EXPECT_TRUE(m.audit.clean()) << m.audit.summary();
   EXPECT_GT(m.rereplicated_blocks, 0u);
   EXPECT_EQ(m.corruptions_injected, 1u);
   EXPECT_EQ(m.corruptions_detected, 0u);
   EXPECT_EQ(m.corruptions_latent, 1u);
+}
+
+TEST(CorruptionRun, SecondStrikeOnOverwrittenReplicaIsCountedApart) {
+  // A second strike on the refilled replica is a new corruption: the first
+  // stays latent whether or not the second is ever found.  With a single
+  // scrub pass after the second strike, only the second is detected.
+  for (const bool scrub : {false, true}) {
+    SCOPED_TRACE(scrub ? "second strike scrubbed" : "second strike latent");
+    exp::RunConfig cfg = base_config(5);
+    const Seconds scrub_at = kRotCrashTime + kRotDowntime + 300.0;
+    if (scrub) {
+      cfg.job_tracker.scrub_period = scrub_at;
+      cfg.job_tracker.scrub_mbps = 1e6;
+    }
+    const auto run = overwritten_rot_run(cfg);
+    rot_then_overwrite(*run);
+    auto& sim = run->simulator();
+    ASSERT_LT(sim.now(), scrub_at);
+    run->job_tracker().inject_corruption(
+        2, static_cast<std::int64_t>(kRotBlock), 0.0);
+    ASSERT_TRUE(run->namenode().replica_corrupt(kRotBlock, 2));
+    while (sim.now() < scrub_at + 60.0 ||
+           run->job_tracker().rereplication_active() > 0) {
+      ASSERT_TRUE(sim.step());
+    }
+
+    const exp::RunMetrics m = run->metrics();
+    EXPECT_TRUE(m.audit.clean()) << m.audit.summary();
+    EXPECT_EQ(m.corruptions_injected, 2u);
+    EXPECT_EQ(m.corruptions_detected, scrub ? 1u : 0u);
+    EXPECT_EQ(m.corruptions_latent, scrub ? 1u : 2u);
+  }
 }
 
 TEST(CorruptionRun, DeterministicAcrossRepeatsSensitiveToSeed) {

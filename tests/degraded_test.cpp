@@ -105,7 +105,7 @@ TEST(DegradedShuffle, FetchNoiseRetriesAndRecovers) {
 
   EXPECT_EQ(m.jobs_failed, 0u);
   EXPECT_GT(m.fetch_failures, 0u);
-  EXPECT_EQ(run.job_tracker().fetch_failures(), m.fetch_failures);
+  EXPECT_EQ(run.job_tracker().counters().fetch_failures, m.fetch_failures);
   EXPECT_TRUE(m.audit.clean()) << m.audit.summary();
 }
 
@@ -124,7 +124,7 @@ TEST(DegradedShuffle, PersistentFetchFailureReExecutesSourceMaps) {
 
   EXPECT_EQ(m.jobs_failed, 0u);
   EXPECT_GT(m.fetch_failures, 0u);
-  EXPECT_GT(run.job_tracker().fetch_reexecuted_maps(), 0u);
+  EXPECT_GT(run.job_tracker().counters().fetch_reexecuted_maps, 0u);
   EXPECT_TRUE(m.audit.clean()) << m.audit.summary();
 }
 
@@ -145,7 +145,7 @@ TEST(DegradedShuffle, FetchStormFailsJobsLoudlyInsteadOfLivelocking) {
   const auto m = run.metrics();
 
   EXPECT_GT(m.jobs_failed, 0u);
-  EXPECT_GT(run.job_tracker().fetch_aborted_attempts(), 0u);
+  EXPECT_GT(run.job_tracker().counters().fetch_aborted_attempts, 0u);
   EXPECT_TRUE(m.audit.clean()) << m.audit.summary();
 }
 

@@ -223,9 +223,9 @@ TEST(FaultRecovery, EAntCompletesAllJobsThroughMidRunCrash) {
   }
   // The crash orphaned running attempts (and usually finished map outputs).
   EXPECT_GT(jt.killed_attempts(), 0u);
-  EXPECT_GT(jt.wasted_task_seconds(), 0.0);
-  ASSERT_FALSE(jt.recovery_times().empty());
-  for (Seconds r : jt.recovery_times()) EXPECT_GT(r, 0.0);
+  EXPECT_GT(jt.counters().wasted_task_seconds, 0.0);
+  ASSERT_FALSE(jt.counters().recovery_times.empty());
+  for (Seconds r : jt.counters().recovery_times) EXPECT_GT(r, 0.0);
 
   const auto m = run.metrics();
   EXPECT_GT(m.wasted_energy, 0.0);
@@ -412,8 +412,8 @@ TEST(FaultRecovery, RecoveryTimesDrainAsRequeuedWorkCompletes) {
   run.execute();
 
   auto& jt = run.job_tracker();
-  ASSERT_FALSE(jt.recovery_times().empty());
-  for (Seconds r : jt.recovery_times()) {
+  ASSERT_FALSE(jt.counters().recovery_times.empty());
+  for (Seconds r : jt.counters().recovery_times) {
     EXPECT_GT(r, 0.0);
     // Re-execution cannot take longer than the whole run.
     EXPECT_LT(r, run.metrics().makespan);

@@ -527,7 +527,7 @@ TEST(JobTracker, FailedAttemptRequeuesAndJobStillCompletes) {
   EXPECT_EQ(faults_left, 0);
   EXPECT_TRUE(h.jt->job(id).complete());
   EXPECT_EQ(h.jt->failed_attempts(), 2u);
-  EXPECT_GT(h.jt->wasted_task_seconds(), 0.0);
+  EXPECT_GT(h.jt->counters().wasted_task_seconds, 0.0);
   // The transient failures counted toward their tasks' attempt budgets.
   std::size_t budget_used = 0;
   for (TaskIndex i = 0; i < h.jt->job(id).num_maps(); ++i) {

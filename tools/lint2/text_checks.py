@@ -462,21 +462,24 @@ _ADM_WINDOW = 10
 # every scrub-traffic accumulation beside its pass's kScrub record, and
 # every repair settlement beside its kRepair record — otherwise the
 # detect -> repair ledger the corruption-conservation audit sums at finalize
-# drifts from the record stream (and the digest) invisibly.  The patterns
-# match mutations only: reads (the conservation sums, the accessors) have no
+# drifts from the record stream (and the digest) invisibly.  The counters
+# are JobTrackerCounters fields (`counters_.corruptions_detected`); the
+# `[\w.]*` prefix matches them under any member path.  The patterns match
+# mutations only: reads (the conservation sums, the accessors) have no
 # ++/--/compound-assignment and never fire.
 _CORRUPT_DETECT_MUT = re.compile(
-    r"(?:\+\+|--)\s*(?:corruptions_detected_|shuffle_corruptions_|"
-    r"task_output_corruptions_)\b"
-    r"|(?:corruptions_detected_|shuffle_corruptions_|"
-    r"task_output_corruptions_)\s*(?:\+\+|--|[+\-]?=(?!=))")
+    r"(?:\+\+|--)\s*[\w.]*\b(?:corruptions_detected|shuffle_corruptions|"
+    r"task_output_corruptions)\b"
+    r"|[\w.]*\b(?:corruptions_detected|shuffle_corruptions|"
+    r"task_output_corruptions)\s*(?:\+\+|--|[+\-]?=(?!=))")
 _CORRUPT_DETECT_TAP = re.compile(r"\bkCorruptionDetected\b")
 _SCRUB_MUT = re.compile(
-    r"(?:\+\+|--)\s*scrubbed_mb_\b|scrubbed_mb_\s*(?:\+\+|--|[+\-]?=(?!=))")
+    r"(?:\+\+|--)\s*[\w.]*\bscrubbed_mb\b"
+    r"|[\w.]*\bscrubbed_mb\s*(?:\+\+|--|[+\-]?=(?!=))")
 _SCRUB_TAP = re.compile(r"\bkScrub\b")
 _REPAIR_MUT = re.compile(
-    r"(?:\+\+|--)\s*corruptions_repaired_\b"
-    r"|corruptions_repaired_\s*(?:\+\+|--|[+\-]?=(?!=))")
+    r"(?:\+\+|--)\s*[\w.]*\bcorruptions_repaired\b"
+    r"|[\w.]*\bcorruptions_repaired\s*(?:\+\+|--|[+\-]?=(?!=))")
 _REPAIR_TAP = re.compile(r"\bkRepair\b")
 _CORRUPT_WINDOW = 8
 
@@ -498,7 +501,7 @@ def check_observer_completeness(sf: SourceFile) -> list[Finding]:
         beside its kOrphan* tap or a cancel_task() delegate (within +-14
         lines).  The data-integrity ledger has the same shape: every
         corruption-detection counter bump sits beside its
-        kCorruptionDetected record, every scrubbed_mb_ accumulation
+        kCorruptionDetected record, every scrubbed_mb accumulation
         beside its pass's kScrub record, and every repair settlement
         beside its kRepair record (all within +-8 lines).
       * admission.cpp — every overload-state assignment sits beside its
@@ -547,13 +550,13 @@ def check_observer_completeness(sf: SourceFile) -> list[Finding]:
                         "lines"))
         for mut, tap, subject, what in (
                 (_CORRUPT_DETECT_MUT, _CORRUPT_DETECT_TAP,
-                 "corruptions_detected_",
+                 "counters_.corruptions_detected",
                  "corruption-detection counter mutation without its "
                  "kCorruptionDetected record"),
-                (_SCRUB_MUT, _SCRUB_TAP, "scrubbed_mb_",
+                (_SCRUB_MUT, _SCRUB_TAP, "counters_.scrubbed_mb",
                  "scrub-traffic accumulation without its pass's kScrub "
                  "record"),
-                (_REPAIR_MUT, _REPAIR_TAP, "corruptions_repaired_",
+                (_REPAIR_MUT, _REPAIR_TAP, "counters_.corruptions_repaired",
                  "repair settlement without its kRepair record")):
             for lineno, code in enumerate(sf.code, start=1):
                 if mut.search(code) and not _near(sf, lineno, tap,

@@ -408,7 +408,7 @@ class ObserverCompleteness(LintBase):
         bare = self.lint("src/mapreduce/job_tracker.cpp", """\
             void JobTracker::confirm_corruption(hdfs::BlockId block,
                                                 cluster::MachineId node) {
-              ++corruptions_detected_;
+              ++counters_.corruptions_detected;
             }
             """, "observer-completeness")
         self.assertEqual(len(bare), 1)
@@ -416,7 +416,7 @@ class ObserverCompleteness(LintBase):
         with_record = self.lint("src/mapreduce/job_tracker.cpp", """\
             void JobTracker::confirm_corruption(hdfs::BlockId block,
                                                 cluster::MachineId node) {
-              ++corruptions_detected_;
+              ++counters_.corruptions_detected;
               if (auditor_) {
                 auditor_->record(audit::Record::kCorruptionDetected,
                                  (block << 32) ^ node);
@@ -428,25 +428,41 @@ class ObserverCompleteness(LintBase):
         # same obligation.
         shuffle = self.lint("src/mapreduce/job_tracker.cpp", """\
             void JobTracker::on_flow_complete(net::FlowId id) {
-              ++shuffle_corruptions_;
+              ++counters_.shuffle_corruptions;
             }
             """, "observer-completeness")
         self.assertEqual(len(shuffle), 1)
 
+    def test_counter_record_fields_fire_without_record(self) -> None:
+        # The tallies are JobTrackerCounters fields: every data-integrity
+        # counter, bumped through counters_ with no record nearby, fires.
+        for mutation in ("++counters_.corruptions_detected;",
+                         "counters_.shuffle_corruptions += 1;",
+                         "++counters_.task_output_corruptions;",
+                         "counters_.scrubbed_mb += mb;",
+                         "counters_.corruptions_repaired++;"):
+            with self.subTest(mutation=mutation):
+                hits = self.lint("src/mapreduce/job_tracker.cpp",
+                                 "void JobTracker::f() {\n"
+                                 f"  {mutation}\n"
+                                 "}\n", "observer-completeness")
+                self.assertEqual(len(hits), 1)
+
     def test_scrub_and_repair_need_records(self) -> None:
         bare = self.lint("src/mapreduce/job_tracker.cpp", """\
             void JobTracker::scrub_tick() {
-              scrubbed_mb_ += mb;
-              ++corruptions_repaired_;
+              counters_.scrubbed_mb += mb;
+              ++counters_.corruptions_repaired;
             }
             """, "observer-completeness")
         self.assertEqual({h.symbol for h in bare},
-                         {"scrubbed_mb_", "corruptions_repaired_"})
+                         {"counters_.scrubbed_mb",
+                          "counters_.corruptions_repaired"})
         with_records = self.lint("src/mapreduce/job_tracker.cpp", """\
             void JobTracker::scrub_tick() {
-              scrubbed_mb_ += mb;
+              counters_.scrubbed_mb += mb;
               if (auditor_) auditor_->record(audit::Record::kScrub, scanned);
-              ++corruptions_repaired_;
+              ++counters_.corruptions_repaired;
               auditor_->record(audit::Record::kRepair, (block << 32) ^ target);
             }
             """, "observer-completeness")
@@ -455,8 +471,9 @@ class ObserverCompleteness(LintBase):
         # counters — comparisons and additions are not mutations.
         self.assertEqual(self.lint("src/mapreduce/job_tracker.cpp", """\
             void JobTracker::finalize_corruption() {
-              if (corruptions_detected_ !=
-                  corruptions_repaired_ + corruptions_lost_ + pending) {
+              if (counters_.corruptions_detected !=
+                  counters_.corruptions_repaired + counters_.corruptions_lost +
+                      pending) {
                 report();
               }
             }
