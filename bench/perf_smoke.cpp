@@ -1,6 +1,6 @@
 // perf_smoke — the simulator-throughput baseline for the scale arc.
 //
-// Runs a homogeneous Terasort batch at three fleet sizes under E-Ant and
+// Runs a homogeneous Terasort batch at four fleet sizes under E-Ant and
 // Capacity and emits BENCH_perf_smoke.json: simulated events per wall-clock
 // second, wall-clock seconds, peak RSS, and the scheduler-work attribution
 // (time inside Scheduler::select_job, per processed heartbeat) against node
@@ -206,11 +206,11 @@ int main(int argc, char** argv) {
   std::vector<Row> rows;
   for (const exp::SchedulerKind kind :
        {exp::SchedulerKind::kEAnt, exp::SchedulerKind::kCapacity}) {
-    for (std::size_t nodes : {16, 64, 256}) {
+    for (std::size_t nodes : {16, 64, 256, 1024}) {
       rows.push_back(measure_in_child(kind, nodes));
       const Row& r = rows.back();
       std::printf(
-          "%-8s nodes=%3zu jobs=%3zu tasks=%6zu events=%9llu wall=%6.2fs "
+          "%-8s nodes=%4zu jobs=%3zu tasks=%6zu events=%9llu wall=%6.2fs "
           "events/s=%9.0f rss=%6.1f MiB select/hb=%6.2fus\n",
           exp::scheduler_kind_name(r.scheduler).c_str(), r.nodes, r.jobs,
           r.tasks, static_cast<unsigned long long>(r.events), r.wall_seconds,

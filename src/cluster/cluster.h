@@ -40,8 +40,8 @@ class Cluster {
   std::vector<MachineId> machines_of_type(const std::string& type_name) const;
 
   /// Total map (resp. reduce) slots across the fleet.
-  int total_map_slots() const;
-  int total_reduce_slots() const;
+  int total_map_slots() const { return total_map_slots_; }
+  int total_reduce_slots() const { return total_reduce_slots_; }
 
   /// Sum of exact machine energies up to the current simulation time.
   Joules total_energy() const;
@@ -53,6 +53,8 @@ class Cluster {
   std::vector<std::unique_ptr<Machine>> machines_;
   std::map<std::string, std::vector<MachineId>> groups_;
   std::vector<std::string> type_order_;
+  int total_map_slots_ = 0;  ///< summed in add_machines: types never change
+  int total_reduce_slots_ = 0;
 };
 
 }  // namespace eant::cluster

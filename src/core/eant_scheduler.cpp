@@ -278,12 +278,6 @@ std::optional<mr::JobId> EAntScheduler::select_job(cluster::MachineId machine,
   // limbo and inflate completion times, so occupancy raises the acceptance
   // floor — full steering on an idle fleet, Hadoop-default behaviour at
   // saturation.
-  const double total_kind_slots = static_cast<double>(
-      kind == mr::TaskKind::kMap ? jt_->cluster().total_map_slots()
-                                 : jt_->cluster().total_reduce_slots());
-  const double occupancy =
-      1.0 - static_cast<double>(jt_->total_free_slots(kind)) /
-                std::max(total_kind_slots, 1.0);
   std::vector<mr::JobId> candidates = runnable;
   while (!candidates.empty()) {
     const auto choice =
@@ -321,6 +315,14 @@ std::optional<mr::JobId> EAntScheduler::select_job(cluster::MachineId machine,
       // taken before the better machine's next heartbeat); the race gets
       // costlier as the fleet fills, so occupancy raises the floor.
       // Squaring keeps it gentle at the paper's moderate utilisations.
+      // (The last candidate is the only one without a trade, so the fleet
+      // walk below runs at most once per call.)
+      const double total_kind_slots = static_cast<double>(
+          kind == mr::TaskKind::kMap ? jt_->cluster().total_map_slots()
+                                     : jt_->cluster().total_reduce_slots());
+      const double occupancy =
+          1.0 - static_cast<double>(jt_->total_free_slots(kind)) /
+                    std::max(total_kind_slots, 1.0);
       floor = std::max(floor, occupancy * occupancy);
     }
     const double steered = std::clamp(

@@ -19,17 +19,28 @@ PheromoneTable::PheromoneTable(std::size_t num_machines, double rho,
              "tau_min must be in (0, tau_init]");
 }
 
+void PheromoneTable::Trail::refresh() {
+  sum = 0.0;
+  max = 0.0;
+  for (double v : tau) {
+    sum += v;
+    max = std::max(max, v);
+  }
+}
+
 void PheromoneTable::add_job(mr::JobId job, const std::string& class_key) {
   for (mr::TaskKind kind : {mr::TaskKind::kMap, mr::TaskKind::kReduce}) {
     const TrailKey key{job, kind};
     EANT_CHECK(!trails_.contains(key), "colony already registered");
     const auto* prior =
         class_key.empty() ? nullptr : class_prior(class_key, kind);
+    Trail& trail = trails_[key];
     if (prior != nullptr) {
-      trails_[key] = *prior;
+      trail.tau = *prior;
     } else {
-      trails_[key].assign(num_machines_, tau_init_);
+      trail.tau.assign(num_machines_, tau_init_);
     }
+    trail.refresh();
     if (!class_key.empty()) classes_[key] = class_key;
   }
 }
@@ -45,7 +56,7 @@ void PheromoneTable::remove_job(mr::JobId job) {
     // the pathology Sec. VI-C warns about).
     if (auto cit = classes_.find(key); cit != classes_.end()) {
       if (auto tit = trails_.find(key); tit != trails_.end()) {
-        priors_[{cit->second, kind}] = tit->second;
+        priors_[{cit->second, kind}] = tit->second.tau;
       }
     }
     trails_.erase(key);
@@ -56,28 +67,17 @@ bool PheromoneTable::has_job(mr::JobId job) const {
   return trails_.contains(TrailKey{job, mr::TaskKind::kMap});
 }
 
+const PheromoneTable::Trail& PheromoneTable::find_trail(
+    mr::JobId job, mr::TaskKind kind) const {
+  const auto it = trails_.find(TrailKey{job, kind});
+  EANT_CHECK(it != trails_.end(), "unknown colony");
+  return it->second;
+}
+
 double PheromoneTable::tau(mr::JobId job, mr::TaskKind kind,
                            cluster::MachineId machine) const {
   EANT_CHECK(machine < num_machines_, "machine id out of range");
-  const auto it = trails_.find(TrailKey{job, kind});
-  EANT_CHECK(it != trails_.end(), "unknown colony");
-  return it->second[machine];
-}
-
-double PheromoneTable::row_sum(mr::JobId job, mr::TaskKind kind) const {
-  const auto it = trails_.find(TrailKey{job, kind});
-  EANT_CHECK(it != trails_.end(), "unknown colony");
-  double sum = 0.0;
-  for (double v : it->second) sum += v;
-  return sum;
-}
-
-double PheromoneTable::row_max(mr::JobId job, mr::TaskKind kind) const {
-  const auto it = trails_.find(TrailKey{job, kind});
-  EANT_CHECK(it != trails_.end(), "unknown colony");
-  double best = 0.0;
-  for (double v : it->second) best = std::max(best, v);
-  return best;
+  return find_trail(job, kind).tau[machine];
 }
 
 void PheromoneTable::apply(const DeltaMap& deposits) {
@@ -87,7 +87,7 @@ void PheromoneTable::apply(const DeltaMap& deposits) {
     std::vector<double>* target = nullptr;
     auto it = trails_.find(key);
     if (it != trails_.end()) {
-      target = &it->second;
+      target = &it->second.tau;
     } else if (auto cit = classes_.find(key); cit != classes_.end()) {
       // Colony finished mid-interval: its final deposits update the class
       // prior directly so the learning is inherited by the next same-class
@@ -106,6 +106,7 @@ void PheromoneTable::apply(const DeltaMap& deposits) {
     // Keep the class memory fresh while colonies are alive, so a colony
     // that finishes between ticks still leaves its latest learning behind.
     if (it != trails_.end()) {
+      it->second.refresh();
       if (auto cit = classes_.find(key); cit != classes_.end()) {
         priors_[{cit->second, key.second}] = *target;
       }
@@ -115,7 +116,10 @@ void PheromoneTable::apply(const DeltaMap& deposits) {
 
 void PheromoneTable::evaporate_machine(cluster::MachineId machine) {
   EANT_CHECK(machine < num_machines_, "machine id out of range");
-  for (auto& [key, row] : trails_) row[machine] = tau_min_;
+  for (auto& [key, trail] : trails_) {
+    trail.tau[machine] = tau_min_;
+    trail.refresh();
+  }
   for (auto& [key, row] : priors_) row[machine] = tau_min_;
 }
 
@@ -133,7 +137,10 @@ void PheromoneTable::reseed_machine(cluster::MachineId machine) {
     row[machine] =
         std::max(tau_min_, sum / static_cast<double>(num_machines_ - 1));
   };
-  for (auto& [key, row] : trails_) reseed(row);
+  for (auto& [key, trail] : trails_) {
+    reseed(trail.tau);
+    trail.refresh();
+  }
   for (auto& [key, row] : priors_) reseed(row);
 }
 
@@ -143,7 +150,9 @@ void PheromoneTable::penalize(mr::JobId job, mr::TaskKind kind,
   EANT_CHECK(factor >= 0.0 && factor <= 1.0, "penalty factor must be in [0,1]");
   const auto it = trails_.find(TrailKey{job, kind});
   if (it == trails_.end()) return;
-  it->second[machine] = std::max(tau_min_, it->second[machine] * factor);
+  std::vector<double>& row = it->second.tau;
+  row[machine] = std::max(tau_min_, row[machine] * factor);
+  it->second.refresh();
 }
 
 const std::vector<double>* PheromoneTable::class_prior(
@@ -154,13 +163,13 @@ const std::vector<double>* PheromoneTable::class_prior(
 
 std::vector<double> PheromoneTable::trail(mr::JobId job,
                                           mr::TaskKind kind) const {
-  const auto it = trails_.find(TrailKey{job, kind});
-  EANT_CHECK(it != trails_.end(), "unknown colony");
-  return it->second;
+  return find_trail(job, kind).tau;
 }
 
 PheromoneTable::Snapshot PheromoneTable::snapshot() const {
-  return Snapshot{trails_, classes_, priors_};
+  Snapshot snap{{}, classes_, priors_};
+  for (const auto& [key, trail] : trails_) snap.trails.emplace(key, trail.tau);
+  return snap;
 }
 
 void PheromoneTable::restore(const Snapshot& snap) {
@@ -168,7 +177,12 @@ void PheromoneTable::restore(const Snapshot& snap) {
     EANT_CHECK(row.size() == num_machines_,
                "snapshot shape does not match the table");
   }
-  trails_ = snap.trails;
+  trails_.clear();
+  for (const auto& [key, row] : snap.trails) {
+    Trail& trail = trails_[key];
+    trail.tau = row;
+    trail.refresh();
+  }
   classes_ = snap.classes;
   priors_ = snap.priors;
 }

@@ -54,10 +54,14 @@ class PheromoneTable {
              cluster::MachineId machine) const;
 
   /// Sum of tau over machines for a trail — Eq. 3/8's denominator.
-  double row_sum(mr::JobId job, mr::TaskKind kind) const;
+  double row_sum(mr::JobId job, mr::TaskKind kind) const {
+    return find_trail(job, kind).sum;
+  }
 
   /// Largest tau in a trail (the colony's best-ranked machine).
-  double row_max(mr::JobId job, mr::TaskKind kind) const;
+  double row_max(mr::JobId job, mr::TaskKind kind) const {
+    return find_trail(job, kind).max;
+  }
 
   /// Applies one control-interval update: tau <- (1-rho) tau + rho * deposit,
   /// clamped at tau_min.  Deposits for unknown (already removed) trails are
@@ -107,11 +111,24 @@ class PheromoneTable {
   void restore(const Snapshot& snap);
 
  private:
+  /// One colony trail with its row totals, which are read on every
+  /// heartbeat but change only when the trail does.
+  struct Trail {
+    std::vector<double> tau;
+    double sum = 0.0;
+    double max = 0.0;
+    /// Re-derives sum and max left to right after any change to tau (no
+    /// incremental add/subtract, so the sum rounds exactly as a fresh one).
+    void refresh();
+  };
+
+  const Trail& find_trail(mr::JobId job, mr::TaskKind kind) const;
+
   std::size_t num_machines_;
   double rho_;
   double tau_init_;
   double tau_min_;
-  std::map<TrailKey, std::vector<double>> trails_;
+  std::map<TrailKey, Trail> trails_;
   std::map<TrailKey, std::string> classes_;
   std::map<std::pair<std::string, mr::TaskKind>, std::vector<double>> priors_;
 };

@@ -324,16 +324,4 @@ void AdmissionControl::finalize(Seconds now) {
   }
 }
 
-std::size_t AdmissionControl::total_rejections() const {
-  std::size_t n = 0;
-  for (const auto& [t, led] : ledgers_) n += led.rejections;
-  return n;
-}
-
-std::size_t AdmissionControl::total_retries() const {
-  std::size_t n = 0;
-  for (const auto& [t, led] : ledgers_) n += led.retries;
-  return n;
-}
-
 }  // namespace eant::mr

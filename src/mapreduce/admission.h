@@ -267,8 +267,6 @@ class AdmissionControl {
   const std::map<workload::TenantId, TenantAdmissionLedger>& ledgers() const {
     return ledgers_;
   }
-  std::size_t total_rejections() const;
-  std::size_t total_retries() const;
   std::size_t transitions() const { return transitions_; }
   Seconds time_in(OverloadState s) const {
     return time_in_state_[static_cast<int>(s)];

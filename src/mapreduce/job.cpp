@@ -98,6 +98,7 @@ std::size_t JobState::done(TaskKind kind) const { return state(kind).done; }
 
 bool JobState::has_local_pending_map(cluster::MachineId machine) const {
   EANT_CHECK(machine < num_machines_, "machine id out of range");
+  if (local_maps_.empty()) return false;  // released at retirement
   for (TaskIndex i : local_maps_[machine]) {
     if (map_state_.status[i] == TaskStatus::kPending) return true;
   }
@@ -113,6 +114,12 @@ bool JobState::has_rack_local_pending_map(cluster::MachineId machine) const {
   return false;
 }
 
+void JobState::release_locality_queues() {
+  std::vector<std::deque<TaskIndex>>().swap(local_maps_);
+  std::vector<std::deque<TaskIndex>>().swap(rack_maps_);
+  std::vector<std::size_t>().swap(machine_rack_);
+}
+
 int JobState::occupied_slots() const {
   return static_cast<int>(map_state_.running + reduce_state_.running);
 }
@@ -126,17 +133,25 @@ std::optional<TaskIndex> JobState::pop_pending(KindState& ks) {
   return std::nullopt;
 }
 
+void JobState::set_running(KindState& ks, TaskIndex index) {
+  ks.status[index] = TaskStatus::kRunning;
+  ++ks.running;
+  if (!ks.speculative[index]) {
+    ks.running_originals.emplace(ks.start_time[index], index);
+  }
+}
+
 std::optional<TaskIndex> JobState::claim_map(cluster::MachineId machine,
                                              Locality& level_out) {
   EANT_CHECK(machine < num_machines_, "machine id out of range");
+  EANT_CHECK(!local_maps_.empty(), "a retired job has no maps to claim");
   // Node-local split first (lazy cleanup of stale queue entries).
   auto& locals = local_maps_[machine];
   while (!locals.empty()) {
     const TaskIndex i = locals.front();
     locals.pop_front();
     if (map_state_.status[i] == TaskStatus::kPending) {
-      map_state_.status[i] = TaskStatus::kRunning;
-      ++map_state_.running;
+      set_running(map_state_, i);
       level_out = Locality::kNodeLocal;
       return i;
     }
@@ -150,8 +165,7 @@ std::optional<TaskIndex> JobState::claim_map(cluster::MachineId machine,
       const TaskIndex i = rack.front();
       rack.pop_front();
       if (map_state_.status[i] == TaskStatus::kPending) {
-        map_state_.status[i] = TaskStatus::kRunning;
-        ++map_state_.running;
+        set_running(map_state_, i);
         level_out = Locality::kRackLocal;
         return i;
       }
@@ -159,8 +173,7 @@ std::optional<TaskIndex> JobState::claim_map(cluster::MachineId machine,
   }
   // Otherwise any pending split (remote read; off-rack when racks exist).
   if (auto i = pop_pending(map_state_)) {
-    map_state_.status[*i] = TaskStatus::kRunning;
-    ++map_state_.running;
+    set_running(map_state_, *i);
     level_out = Locality::kOffRack;
     return i;
   }
@@ -178,8 +191,7 @@ std::optional<TaskIndex> JobState::claim_map(cluster::MachineId machine,
 std::optional<TaskIndex> JobState::claim_reduce() {
   if (!reduces_built_) return std::nullopt;
   if (auto i = pop_pending(reduce_state_)) {
-    reduce_state_.status[*i] = TaskStatus::kRunning;
-    ++reduce_state_.running;
+    set_running(reduce_state_, *i);
     return i;
   }
   return std::nullopt;
@@ -194,6 +206,7 @@ void JobState::unclaim(TaskKind kind, TaskIndex index,
   ks.status[index] = TaskStatus::kPending;
   EANT_ASSERT(ks.running > 0, "running-count underflow");
   --ks.running;
+  ks.running_originals.erase({ks.start_time[index], index});
   ks.pending_queue.push_back(index);
 }
 
@@ -208,8 +221,10 @@ void JobState::mark_started(TaskKind kind, TaskIndex index,
   // Keep the first attempt's start time and machine when a speculative twin
   // launches.
   if (!ks.speculative[index]) {
+    ks.running_originals.erase({ks.start_time[index], index});
     ks.start_time[index] = now;
     ks.start_machine[index] = machine;
+    ks.running_originals.emplace(now, index);
   }
 }
 
@@ -223,6 +238,7 @@ void JobState::mark_done(const TaskReport& report) {
   EANT_ASSERT(ks.running > 0, "running-count underflow");
   --ks.running;
   ++ks.done;
+  ks.running_originals.erase({ks.start_time[index], index});
   ++ks.completed_per_machine[report.machine];
 
   ks.completed_duration_sum += report.duration();
@@ -268,6 +284,7 @@ void JobState::mark_speculative(TaskKind kind, TaskIndex index) {
   EANT_CHECK(ks.status[index] == TaskStatus::kRunning,
              "only a running task can be speculated");
   ks.speculative[index] = true;
+  ks.running_originals.erase({ks.start_time[index], index});
 }
 
 bool JobState::is_speculative(TaskKind kind, TaskIndex index) const {
@@ -280,6 +297,10 @@ void JobState::clear_speculative(TaskKind kind, TaskIndex index) {
   auto& ks = state(kind);
   EANT_CHECK(index < ks.status.size(), "task index out of range");
   ks.speculative[index] = false;
+  // A surviving twin carries on under the original attempt's start time.
+  if (ks.status[index] == TaskStatus::kRunning) {
+    ks.running_originals.emplace(ks.start_time[index], index);
+  }
 }
 
 int JobState::record_attempt_failure(TaskKind kind, TaskIndex index) {
@@ -301,6 +322,7 @@ void JobState::revert_done_map(TaskIndex index, Seconds duration,
   EANT_CHECK(index < ks.status.size(), "task index out of range");
   EANT_CHECK(ks.status[index] == TaskStatus::kDone,
              "only a completed map can be reverted");
+  EANT_CHECK(!local_maps_.empty(), "a retired job's maps cannot re-run");
   EANT_CHECK(machine < num_machines_, "machine id out of range");
   ks.status[index] = TaskStatus::kPending;
   EANT_ASSERT(ks.done > 0, "done-count underflow");

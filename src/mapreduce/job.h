@@ -1,5 +1,6 @@
 // Per-job runtime state tracked by the JobTracker: task specs, pending
-// queues with per-machine locality indexes, progress counters and the
+// queues with per-machine locality indexes, the start-ordered index of
+// running originals that speculation scans, progress counters and the
 // per-machine assignment histogram used by Fig. 9, Tarazu and E-Ant's
 // convergence tracking.
 
@@ -8,6 +9,8 @@
 #include <array>
 #include <deque>
 #include <optional>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "cluster/machine.h"
@@ -26,6 +29,9 @@ enum class TaskStatus { kPending, kRunning, kDone };
 /// schedulers receive const access.
 class JobState {
  public:
+  /// Tasks of one kind keyed by (start time, index), oldest first.
+  using StartOrder = std::set<std::pair<Seconds, TaskIndex>>;
+
   JobState(JobId id, workload::JobSpec spec, std::size_t num_machines);
 
   JobId id() const { return id_; }
@@ -59,6 +65,12 @@ class JobState {
   /// True iff a pending map's input block has a replica in `machine`'s rack
   /// (always false when the NameNode had a single flat rack).
   bool has_rack_local_pending_map(cluster::MachineId machine) const;
+
+  /// Drops the per-machine and per-rack locality queues of a retired job
+  /// (completed or failed): they are dead weight for the rest of the run.
+  /// Afterwards both locality queries answer false, and claim_map and
+  /// revert_done_map refuse.
+  void release_locality_queues();
 
   /// Slots the job currently occupies (S_occ of Eq. 7).
   int occupied_slots() const;
@@ -132,6 +144,13 @@ class JobState {
   /// Start time of a Running/Done task (its first attempt).
   Seconds task_start_time(TaskKind kind, TaskIndex index) const;
 
+  /// The straggler candidates: every task of the kind that is Running
+  /// without a speculative twin, keyed by its task_start_time.  Walking it
+  /// in order visits elapsed times from longest to shortest.
+  const StartOrder& running_originals(TaskKind kind) const {
+    return state(kind).running_originals;
+  }
+
   /// Machine running the task's *original* attempt (a speculative twin's
   /// launch does not overwrite it) — the basis of the per-node speculation
   /// cap.  Requires the task to have started.
@@ -178,11 +197,16 @@ class JobState {
     std::vector<cluster::MachineId> start_machine;
     std::vector<int> failed_attempts;
     double completed_duration_sum = 0.0;
+    /// Invariant: (start_time[i], i) is in the set iff task i is Running
+    /// and not speculative.
+    StartOrder running_originals;
   };
 
   KindState& state(TaskKind kind);
   const KindState& state(TaskKind kind) const;
   std::optional<TaskIndex> pop_pending(KindState& ks);
+  /// Pending -> Running for a claimed task.
+  static void set_running(KindState& ks, TaskIndex index);
 
   JobId id_;
   workload::JobSpec spec_;
@@ -209,6 +233,29 @@ class JobState {
   double map_task_seconds_ = 0.0;
   double shuffle_seconds_ = 0.0;
   double reduce_task_seconds_ = 0.0;
+};
+
+/// Running best of a straggler scan that walks each active job's
+/// running_originals() in start order.  It keeps the pick of a scan in
+/// (active-job order, task index order) that takes the first maximum:
+/// tasks launched in one heartbeat share a start time, so an equal score
+/// wins only within the same job and at a lower index.  Only positive
+/// scores count.
+struct StragglerPick {
+  JobId job = 0;
+  TaskIndex index = 0;
+  Seconds score = 0.0;
+  bool found = false;
+
+  bool beaten_by(JobId j, TaskIndex i, Seconds s) const {
+    return s > score || (found && s == score && j == job && i < index);
+  }
+  void take(JobId j, TaskIndex i, Seconds s) {
+    job = j;
+    index = i;
+    score = s;
+    found = true;
+  }
 };
 
 }  // namespace eant::mr

@@ -36,10 +36,6 @@ constexpr double kRemoteReadMbps = 10.0;
 /// never charged for replication traffic).
 constexpr double kReplicationWriteMbps = 40.0;
 
-/// A task is a straggler once its elapsed time exceeds this multiple of
-/// the mean completed-task duration of its job and kind.
-constexpr double kSpeculativeStragglerBeta = 1.5;
-
 /// A quarantined node re-earns work once its health climbs back above
 /// this (hysteresis above the entry threshold).
 constexpr double kHealthRecoveryThreshold = 0.75;
@@ -642,28 +638,36 @@ void JobTracker::maybe_rejoin(cluster::MachineId machine) {
 
 void JobTracker::try_speculate(TaskTracker& tracker, TaskKind kind) {
   if (tracker.free_slots(kind) <= 0) return;
-  const cluster::MachineId m = tracker.machine_id();
+  const StragglerPick pick = pick_straggler(tracker.machine_id(), kind);
+  if (pick.found) start_speculative(pick.job, kind, pick.index, tracker);
+}
+
+StragglerPick JobTracker::pick_straggler(cluster::MachineId m,
+                                         TaskKind kind) const {
   // Longest-overdue straggler that this machine could beat.  With
   // speculative_progress_ranking the score is instead the LATE-style
   // estimated remaining time from the attempt's observed progress rate — a
   // limping node's near-stalled attempt ranks far above a merely unlucky
   // one, and the beat test compares against remaining work, not elapsed.
-  JobId best_job = 0;
-  TaskIndex best_index = 0;
-  Seconds best_score = 0.0;
-  bool found = false;
+  const bool by_progress = config_.speculative_progress_ranking;
+  StragglerPick best;
   const Seconds now = sim_.now();
   for (JobId id : active_) {
     const JobState& js = *jobs_[id];
     const Seconds mean = js.mean_completed_duration(kind);
     if (mean <= 0.0) continue;
-    const std::size_t total =
-        kind == TaskKind::kMap ? js.num_maps() : js.num_reduces();
-    for (TaskIndex i = 0; i < total; ++i) {
-      if (js.status(kind, i) != TaskStatus::kRunning) continue;
-      if (js.is_speculative(kind, i)) continue;
-      const Seconds elapsed = now - js.task_start_time(kind, i);
-      if (elapsed <= kSpeculativeStragglerBeta * mean) continue;
+    // Oldest first, so elapsed only falls along the walk: the first task
+    // under the cutoff ends the job's stragglers.
+    for (const auto& [start, i] : js.running_originals(kind)) {
+      const Seconds elapsed = now - start;
+      if (elapsed <= kSpeculativeStragglerBeta * mean) break;
+      Seconds score = elapsed - mean;
+      if (!by_progress) {
+        // This score falls along the walk too: once below the best, the
+        // job has nothing left that could win.
+        if (score < best.score) break;
+        if (!best.beaten_by(id, i, score)) continue;
+      }
       // Only worthwhile if a fresh attempt here is expected to beat the
       // original.
       const TaskSpec& spec = js.task(kind, i);
@@ -671,8 +675,7 @@ void JobTracker::try_speculate(TaskTracker& tracker, TaskKind kind) {
                                     ? Locality::kNodeLocal
                                     : namenode_.locality(spec.block, m);
       const Seconds here = base_duration(spec, cluster_.machine(m), locality);
-      Seconds score;
-      if (config_.speculative_progress_ranking) {
+      if (by_progress) {
         const double p = running_progress(id, kind, i);
         // remaining = elapsed * (1 - p) / p; a zero-progress attempt (still
         // fetching, or crawling) pessimistically counts its elapsed time.
@@ -680,19 +683,13 @@ void JobTracker::try_speculate(TaskTracker& tracker, TaskKind kind) {
             p > 0.0 ? elapsed * (1.0 - p) / p : elapsed;
         if (here >= remaining) continue;
         score = remaining;
-      } else {
-        if (here >= elapsed) continue;
-        score = elapsed - mean;
+      } else if (here >= elapsed) {
+        continue;
       }
-      if (score > best_score) {
-        best_score = score;
-        best_job = id;
-        best_index = i;
-        found = true;
-      }
+      if (best.beaten_by(id, i, score)) best.take(id, i, score);
     }
   }
-  if (found) start_speculative(best_job, kind, best_index, tracker);
+  return best;
 }
 
 std::optional<JobId> JobTracker::timed_select_job(cluster::MachineId machine,
@@ -2085,6 +2082,7 @@ void JobTracker::note_recovered(JobId job, TaskKind kind, TaskIndex index) {
 }
 
 void JobTracker::drop_job_bookkeeping(JobId job) {
+  jobs_[job]->release_locality_queues();
   std::erase_if(fetch_failures_by_source_,
                 [job](const auto& kv) { return kv.first.first == job; });
   std::erase_if(reduce_fetch_strikes_,

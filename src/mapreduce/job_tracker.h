@@ -44,6 +44,10 @@ namespace eant::mr {
 /// TaskTracker heartbeat / utilisation sampling period (Hadoop default).
 inline constexpr Seconds kHeartbeatInterval = 3.0;
 
+/// A task is a straggler once its elapsed time exceeds this multiple of
+/// the mean completed-task duration of its job and kind.
+inline constexpr double kSpeculativeStragglerBeta = 1.5;
+
 /// Tunables of the MapReduce engine (defaults follow the paper's setup).
 struct JobTrackerConfig {
   /// Fraction of a job's maps that must finish before its reduces become
@@ -384,6 +388,21 @@ class JobTracker {
   bool start_speculative(JobId job, TaskKind kind, TaskIndex index,
                          TaskTracker& tracker);
 
+  /// The straggler a speculative attempt on `machine` would duplicate:
+  /// among the active jobs' running originals whose elapsed time exceeds
+  /// kSpeculativeStragglerBeta x the job's mean completed duration, and
+  /// that a fresh attempt here is expected to beat, the highest score
+  /// (elapsed - mean; the estimated time left under
+  /// speculative_progress_ranking).  `found` is false when none qualifies.
+  StragglerPick pick_straggler(cluster::MachineId machine,
+                               TaskKind kind) const;
+
+  /// The master's nominal expectation of the task's duration on the
+  /// machine: no noise and no fail-slow stretch, which the master cannot
+  /// know about.
+  Seconds base_duration(const TaskSpec& spec, const cluster::Machine& machine,
+                        Locality locality) const;
+
   /// Scheduler-requested preemption of a Running task: every live attempt
   /// (original + speculative twin) is killed — KILLED, not FAILED, so no
   /// attempt budget is charged — its partial work reported as
@@ -683,8 +702,6 @@ class JobTracker {
   std::optional<JobId> timed_select_job(cluster::MachineId machine,
                                         TaskKind kind);
   void try_speculate(TaskTracker& tracker, TaskKind kind);
-  Seconds base_duration(const TaskSpec& spec, const cluster::Machine& machine,
-                        Locality locality) const;
   Seconds compute_duration(const TaskSpec& spec,
                            const cluster::Machine& machine, Locality locality);
   void maybe_build_reduces(JobState& js);

@@ -41,36 +41,27 @@ bool LateScheduler::try_speculate(cluster::MachineId machine,
   // which singles out attempts crawling on a limping machine rather than
   // merely old ones.
   const bool by_progress = jt_->config().speculative_progress_ranking;
-  mr::JobId best_job = 0;
-  mr::TaskIndex best_index = 0;
-  Seconds best_score = 0.0;
-  bool found = false;
+  mr::StragglerPick best;
   for (mr::JobId id : jt_->active_jobs()) {
     const auto& js = jt_->job(id);
     const Seconds mean = js.mean_completed_duration(kind);
     if (mean <= 0.0) continue;  // no baseline yet
-    const std::size_t total =
-        kind == mr::TaskKind::kMap ? js.num_maps() : js.num_reduces();
-    for (mr::TaskIndex i = 0; i < total; ++i) {
-      if (js.status(kind, i) != mr::TaskStatus::kRunning) continue;
-      if (js.is_speculative(kind, i)) continue;
-      const Seconds elapsed = now - js.task_start_time(kind, i);
-      if (elapsed <= straggler_beta_ * mean) continue;
+    // Oldest first, so elapsed only falls along the walk.
+    for (const auto& [start, i] : js.running_originals(kind)) {
+      const Seconds elapsed = now - start;
+      if (elapsed <= straggler_beta_ * mean) break;
       Seconds score = elapsed;
       if (by_progress) {
         const double p = jt_->running_progress(id, kind, i);
         score = p > 0.0 ? elapsed * (1.0 - p) / p : elapsed;
+      } else if (score < best.score) {
+        break;  // by elapsed time the job's oldest task is its best
       }
-      if (score > best_score) {
-        best_job = id;
-        best_index = i;
-        best_score = score;
-        found = true;
-      }
+      if (best.beaten_by(id, i, score)) best.take(id, i, score);
     }
   }
-  if (!found) return false;
-  if (!jt_->start_speculative(best_job, kind, best_index,
+  if (!best.found) return false;
+  if (!jt_->start_speculative(best.job, kind, best.index,
                               jt_->tracker(machine))) {
     return false;
   }

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "cluster/catalog.h"
 #include "cluster/cluster.h"
 #include "cluster/machine.h"
@@ -189,6 +191,28 @@ TEST(Cluster, SlotTotalsAndEnergy) {
   EXPECT_EQ(c.total_reduce_slots(), 4);
   sim.run_until(10.0);
   EXPECT_DOUBLE_EQ(c.total_energy(), 2 * 10.0 * 50.0);
+}
+
+TEST(Cluster, CachedSlotTotalsMatchPerMachineSum) {
+  // The totals are summed once as machines are added; they must equal a
+  // fresh walk over the fleet after every add, across mixed slot shapes.
+  sim::Simulator sim;
+  Cluster c(sim);
+  for (int round = 0; round < 6; ++round) {
+    MachineType t = test_type();
+    t.name = "Shape" + std::to_string(round % 3);
+    t.map_slots = 1 + round % 3;
+    t.reduce_slots = round % 2;
+    c.add_machines(t, static_cast<std::size_t>(1 + round));
+    int map_slots = 0;
+    int reduce_slots = 0;
+    for (MachineId m = 0; m < c.size(); ++m) {
+      map_slots += c.machine(m).type().map_slots;
+      reduce_slots += c.machine(m).type().reduce_slots;
+    }
+    EXPECT_EQ(c.total_map_slots(), map_slots);
+    EXPECT_EQ(c.total_reduce_slots(), reduce_slots);
+  }
 }
 
 TEST(Catalog, PaperFleetComposition) {

@@ -18,6 +18,7 @@
 #include "core/eant_scheduler.h"
 #include "exp/builders.h"
 #include "exp/runner.h"
+#include "mapreduce/job.h"
 #include "mapreduce/job_tracker.h"
 #include "sim/fault_injector.h"
 #include "sim/simulator.h"
@@ -366,6 +367,102 @@ TEST(FailSlowRun, SpeculativeClonesPerNodeAreCapped) {
   const auto [first_free, second_free] = speculate_two_from_victim(0);
   EXPECT_TRUE(first_free);
   EXPECT_TRUE(second_free);
+}
+
+// --- straggler index vs the full scan ----------------------------------------
+
+/// The speculation pick by the scan the straggler index replaced: every
+/// task of every active job, keeping the first maximum in (active-job
+/// order, task index order).  `twins` counts the speculated tasks passed.
+mr::StragglerPick full_scan_pick(exp::Run& run, MachineId m, TaskKind kind,
+                                 std::size_t& twins) {
+  const mr::JobTracker& jt = run.job_tracker();
+  const bool by_progress = jt.config().speculative_progress_ranking;
+  const Seconds now = run.simulator().now();
+  const cluster::Machine& machine = run.cluster().machine(m);
+  mr::StragglerPick best;
+  for (mr::JobId id : jt.active_jobs()) {
+    const mr::JobState& js = jt.job(id);
+    const Seconds mean = js.mean_completed_duration(kind);
+    if (mean <= 0.0) continue;
+    const std::size_t total =
+        kind == TaskKind::kMap ? js.num_maps() : js.num_reduces();
+    for (mr::TaskIndex i = 0; i < total; ++i) {
+      if (js.status(kind, i) != mr::TaskStatus::kRunning) continue;
+      if (js.is_speculative(kind, i)) {
+        ++twins;
+        continue;
+      }
+      const Seconds elapsed = now - js.task_start_time(kind, i);
+      if (elapsed <= mr::kSpeculativeStragglerBeta * mean) continue;
+      const mr::TaskSpec& spec = js.task(kind, i);
+      const Locality locality = kind == TaskKind::kReduce
+                                    ? Locality::kNodeLocal
+                                    : jt.namenode().locality(spec.block, m);
+      const Seconds here = jt.base_duration(spec, machine, locality);
+      Seconds score;
+      if (by_progress) {
+        const double p = jt.running_progress(id, kind, i);
+        const Seconds remaining =
+            p > 0.0 ? elapsed * (1.0 - p) / p : elapsed;
+        if (here >= remaining) continue;
+        score = remaining;
+      } else {
+        if (here >= elapsed) continue;
+        score = elapsed - mean;
+      }
+      if (score > best.score) {
+        best.job = id;
+        best.index = i;
+        best.score = score;
+        best.found = true;
+      }
+    }
+  }
+  return best;
+}
+
+TEST(StragglerIndex, PickMatchesFullScanOnFaultedEAntRun) {
+  // Limps, a rot, a crash and transient failures make stragglers, twins,
+  // twin deaths and requeues; after every step each machine asks for a
+  // pick of each kind, both ways.
+  for (const bool by_progress : {false, true}) {
+    SCOPED_TRACE(by_progress ? "progress ranking" : "elapsed ranking");
+    exp::RunConfig cfg;
+    cfg.seed = 13;
+    cfg.noise = mr::NoiseConfig::typical();
+    cfg.job_tracker.speculative_progress_ranking = by_progress;
+    cfg.faults.slow_for(1, 60.0, 300.0, 0.3, 0.6);
+    cfg.faults.rot(5, 100.0, 200.0, 0.4);
+    cfg.faults.crash_for(3, 150.0, 90.0);
+    cfg.faults.task_failure_prob = 0.03;
+    exp::Run run(exp::paper_fleet(), exp::SchedulerKind::kEAnt, cfg);
+    run.submit(limp_workload(12));
+
+    auto& jt = run.job_tracker();
+    const std::size_t n = run.cluster().size();
+    std::size_t step = 0;
+    std::size_t picks = 0;
+    std::size_t twins = 0;
+    while (!jt.all_done()) {
+      ASSERT_TRUE(run.simulator().step());
+      ++step;
+      for (MachineId m = 0; m < n; ++m) {
+        for (TaskKind kind : {TaskKind::kMap, TaskKind::kReduce}) {
+          const mr::StragglerPick fast = jt.pick_straggler(m, kind);
+          const mr::StragglerPick slow = full_scan_pick(run, m, kind, twins);
+          ASSERT_EQ(fast.found, slow.found) << "step " << step;
+          if (!slow.found) continue;
+          ++picks;
+          ASSERT_EQ(fast.job, slow.job) << "step " << step;
+          ASSERT_EQ(fast.index, slow.index) << "step " << step;
+          ASSERT_EQ(fast.score, slow.score) << "step " << step;
+        }
+      }
+    }
+    EXPECT_GT(picks, 100u) << "the run never had a straggler to pick";
+    EXPECT_GT(twins, 100u) << "the run never speculated";
+  }
 }
 
 // --- E-Ant vs the limper -----------------------------------------------------

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <vector>
 
 #include "cluster/catalog.h"
 #include "cluster/cluster.h"
@@ -214,6 +216,145 @@ TEST(JobState, SpeculativeFlagLifecycle) {
   const auto idx = js.claim_map(0, local);
   js.mark_speculative(TaskKind::kMap, *idx);
   EXPECT_TRUE(js.is_speculative(TaskKind::kMap, *idx));
+}
+
+TEST(JobState, RunningOriginalsIndexMatchesFullScan) {
+  // Differential test of the straggler index: random lifecycle sequences in
+  // the orders the JobTracker issues them (claim, start, speculate and the
+  // twin's start, clear, unclaim, done, revert), and after every step the
+  // index must equal a scan over status, is_speculative and start times.
+  constexpr std::size_t kMachines = 6;
+  hdfs::NameNode nn(Rng(21), kMachines);
+  JobState js(0, wordcount_job(64.0 * 400, 100), kMachines);
+  js.init_maps(nn.create_file(64.0 * 400), nn);
+  std::vector<TaskSpec> reduces;
+  for (TaskIndex i = 0; i < 100; ++i) {
+    TaskSpec t;
+    t.job = 0;
+    t.index = i;
+    t.kind = TaskKind::kReduce;
+    reduces.push_back(t);
+  }
+  js.init_reduces(std::move(reduces));
+
+  auto brute_force = [&js](TaskKind kind) {
+    JobState::StartOrder out;
+    const std::size_t total =
+        kind == TaskKind::kMap ? js.num_maps() : js.num_reduces();
+    for (TaskIndex i = 0; i < total; ++i) {
+      if (js.status(kind, i) != TaskStatus::kRunning) continue;
+      if (js.is_speculative(kind, i)) continue;
+      out.emplace(js.task_start_time(kind, i), i);
+    }
+    return out;
+  };
+  auto tasks_in = [&js](TaskKind kind, TaskStatus status) {
+    std::vector<TaskIndex> out;
+    const std::size_t total =
+        kind == TaskKind::kMap ? js.num_maps() : js.num_reduces();
+    for (TaskIndex i = 0; i < total; ++i) {
+      if (js.status(kind, i) == status) out.push_back(i);
+    }
+    return out;
+  };
+
+  Rng rng(99);
+  Seconds now = 0.0;
+  std::map<TaskIndex, cluster::MachineId> map_done_on;
+  std::size_t twins = 0;
+  std::size_t reverts = 0;
+  for (int step = 0; step < 4000; ++step) {
+    // Several launches share one heartbeat's start time.
+    if (rng.uniform() < 0.3) now += kHeartbeatInterval;
+    const TaskKind kind =
+        rng.uniform() < 0.6 ? TaskKind::kMap : TaskKind::kReduce;
+    const auto machine =
+        static_cast<cluster::MachineId>(rng.uniform_int(0, kMachines - 1));
+    const auto running = tasks_in(kind, TaskStatus::kRunning);
+    const auto pick = [&rng](const std::vector<TaskIndex>& v) {
+      return v[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(v.size()) - 1))];
+    };
+    const double op = rng.uniform();
+    if (op < 0.3) {  // claim and launch an original attempt
+      Locality level = Locality::kOffRack;
+      const auto i = kind == TaskKind::kMap ? js.claim_map(machine, level)
+                                            : js.claim_reduce();
+      if (i) js.mark_started(kind, *i, machine, now);
+    } else if (running.empty()) {
+      continue;
+    } else if (op < 0.42) {  // speculate: flag, then launch the twin
+      const TaskIndex i = pick(running);
+      if (js.is_speculative(kind, i)) continue;
+      js.mark_speculative(kind, i);
+      js.mark_started(kind, i, machine, now);
+      ++twins;
+    } else if (op < 0.54) {  // one twin died, the other carries on
+      js.clear_speculative(kind, pick(running));
+    } else if (op < 0.66) {  // requeue: every attempt died
+      const TaskIndex i = pick(running);
+      js.clear_speculative(kind, i);
+      js.unclaim(kind, i, machine);
+    } else if (op < 0.9) {  // an attempt completes
+      TaskReport r;
+      r.spec = js.task(kind, pick(running));
+      r.machine = machine;
+      r.start = js.task_start_time(kind, r.spec.index);
+      r.finish = now + 1.0;
+      js.mark_done(r);
+      if (kind == TaskKind::kMap) map_done_on[r.spec.index] = machine;
+    } else if (kind == TaskKind::kMap) {  // a done map's output is lost
+      const auto done = tasks_in(kind, TaskStatus::kDone);
+      if (done.empty()) continue;
+      const TaskIndex i = pick(done);
+      js.revert_done_map(i, 1.0, nn.locations(js.task(kind, i).block),
+                         map_done_on.at(i));
+      ++reverts;
+    }
+    for (TaskKind k : {TaskKind::kMap, TaskKind::kReduce}) {
+      ASSERT_EQ(js.running_originals(k), brute_force(k))
+          << "step " << step << ", " << kind_name(k);
+    }
+  }
+  EXPECT_GT(twins, 50u);
+  EXPECT_GT(reverts, 20u);
+}
+
+TEST(JobState, ReleasedLocalityQueuesAnswerNoAndRefuseClaims) {
+  hdfs::NameNode nn(Rng(22), 2);
+  JobState js(0, wordcount_job(64.0 * 4), 2);
+  js.init_maps(nn.create_file(64.0 * 4), nn);
+  bool local;
+  const auto done = js.claim_map(0, local);
+  ASSERT_TRUE(done.has_value());
+  js.mark_started(TaskKind::kMap, *done, 0, 0.0);
+  TaskReport r;
+  r.spec = js.task(TaskKind::kMap, *done);
+  r.machine = 0;
+  r.finish = 5.0;
+  js.mark_done(r);
+  ASSERT_TRUE(js.has_local_pending_map(0) || js.has_local_pending_map(1));
+
+  js.release_locality_queues();
+  EXPECT_FALSE(js.has_local_pending_map(0));
+  EXPECT_FALSE(js.has_local_pending_map(1));
+  EXPECT_FALSE(js.has_rack_local_pending_map(0));
+  EXPECT_THROW(js.claim_map(0, local), PreconditionError);
+  EXPECT_THROW(js.revert_done_map(*done, 5.0, {0}, 0), PreconditionError);
+}
+
+TEST(StragglerPick, TieBreakKeepsFirstMaximumInScanOrder) {
+  // The index walk meets a job's tasks in start order, the full scan met
+  // them in index order; equal scores must still resolve as the scan did.
+  StragglerPick best;
+  EXPECT_FALSE(best.beaten_by(0, 0, 0.0));  // only positive scores count
+  EXPECT_TRUE(best.beaten_by(0, 0, 0.5));
+  best.take(2, 5, 10.0);
+  EXPECT_TRUE(best.beaten_by(2, 3, 10.0));   // same job, lower index
+  EXPECT_FALSE(best.beaten_by(2, 7, 10.0));  // same job, higher index
+  EXPECT_FALSE(best.beaten_by(3, 0, 10.0));  // a later job never ties in
+  EXPECT_FALSE(best.beaten_by(2, 0, 9.0));
+  EXPECT_TRUE(best.beaten_by(3, 9, 10.5));
 }
 
 TEST(JobState, RejectsInvalidConstruction) {

@@ -4,9 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "cluster/catalog.h"
 #include "cluster/cluster.h"
 #include "common/error.h"
+#include "common/rng.h"
 #include "core/aco.h"
 #include "core/exchange.h"
 #include "core/pheromone.h"
@@ -105,6 +110,78 @@ TEST(PheromoneTable, DepositsForRemovedJobsIgnored) {
   DeltaMap deposits;
   deposits[{0, mr::TaskKind::kMap}] = {1.0, 1.0};
   EXPECT_NO_THROW(t.apply(deposits));
+}
+
+TEST(PheromoneTable, CachedRowTotalsMatchFreshSummation) {
+  // Differential test of the cached row_sum/row_max: after every mutation in
+  // a random sequence, both must equal a fresh left-to-right pass over the
+  // trail exactly, not merely to within rounding.
+  constexpr std::size_t kMachines = 7;
+  PheromoneTable t(kMachines, 0.3, 1.0, 0.05);
+  Rng rng(17);
+  const std::vector<std::string> classes = {"", "wordcount", "grep"};
+  std::vector<mr::JobId> live;
+  mr::JobId next = 0;
+  auto add = [&] {
+    t.add_job(next, classes[static_cast<std::size_t>(rng.uniform_int(0, 2))]);
+    live.push_back(next++);
+  };
+  for (int i = 0; i < 4; ++i) add();
+  auto random_live = [&] {
+    return live[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1))];
+  };
+  auto machine = [&] {
+    return static_cast<cluster::MachineId>(rng.uniform_int(0, kMachines - 1));
+  };
+
+  PheromoneTable::Snapshot snap = t.snapshot();
+  std::vector<mr::JobId> snap_live = live;
+  for (int step = 0; step < 3000; ++step) {
+    const double op = rng.uniform();
+    if (op < 0.3 && !live.empty()) {
+      DeltaMap deposits;
+      for (mr::JobId j : live) {
+        if (rng.uniform() < 0.5) continue;
+        auto& row = deposits[{j, rng.uniform() < 0.5 ? mr::TaskKind::kMap
+                                                     : mr::TaskKind::kReduce}];
+        row.resize(kMachines);
+        for (double& d : row) d = rng.uniform(0.0, 3.0);
+      }
+      t.apply(deposits);
+    } else if (op < 0.5 && !live.empty()) {
+      t.penalize(random_live(), mr::TaskKind::kMap, machine(),
+                 rng.uniform(0.0, 1.0));
+    } else if (op < 0.58) {
+      t.evaporate_machine(machine());
+    } else if (op < 0.66) {
+      t.reseed_machine(machine());
+    } else if (op < 0.74 && !live.empty()) {
+      const mr::JobId j = random_live();
+      t.remove_job(j);
+      live.erase(std::find(live.begin(), live.end(), j));
+    } else if (op < 0.86) {
+      add();
+    } else if (op < 0.93) {
+      snap = t.snapshot();
+      snap_live = live;
+    } else {
+      t.restore(snap);
+      live = snap_live;
+    }
+    for (mr::JobId j : live) {
+      for (mr::TaskKind kind : {mr::TaskKind::kMap, mr::TaskKind::kReduce}) {
+        double sum = 0.0;
+        double max = 0.0;
+        for (double v : t.trail(j, kind)) {
+          sum += v;
+          max = std::max(max, v);
+        }
+        ASSERT_EQ(t.row_sum(j, kind), sum) << "step " << step;
+        ASSERT_EQ(t.row_max(j, kind), max) << "step " << step;
+      }
+    }
+  }
 }
 
 TEST(ComputeDeposits, EnergyFloorPreventsDivision) {
