@@ -15,8 +15,12 @@
 // continuous_traffic) inherits.  On a single-core runner the speedup is ~1;
 // the field still tracks driver overhead.
 //
-// Each row runs in a forked child, so its peak RSS is that row's own peak
-// rather than the largest peak of every row measured before it.
+// Each row runs kRowRepeats times and the sweep kSweepRepeats times; wall
+// times are reported as the median and the minimum of those samples (a
+// single millisecond-scale sample is mostly host noise).  Each row sample
+// runs in a forked child, so its peak RSS is that row's own peak rather
+// than the largest peak of every row measured before it; the first
+// child's is kept.
 //
 // Usage: perf_smoke [out.json]   (default BENCH_perf_smoke.json)
 
@@ -24,6 +28,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>  // lint-ok: wall-clock
 #include <cstdio>
 #include <cstdlib>
@@ -41,6 +46,15 @@ using namespace eant;
 
 namespace {
 
+constexpr int kRowRepeats = 3;
+constexpr int kSweepRepeats = 5;
+
+/// Median of an odd number of samples.
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
 /// Peak resident set size in MiB (ru_maxrss is KiB on Linux).
 double peak_rss_mib() {
   struct rusage ru{};
@@ -55,7 +69,8 @@ struct Row {
   std::size_t tasks = 0;
   std::uint64_t events = 0;
   Seconds sim_makespan = 0.0;
-  double wall_seconds = 0.0;
+  double wall_seconds = 0.0;      ///< median over the repeats
+  double wall_min_seconds = 0.0;  ///< minimum over the repeats
   double events_per_sec = 0.0;
   double peak_rss_mib = 0.0;
   std::uint64_t heartbeats = 0;
@@ -152,13 +167,31 @@ Row measure_in_child(exp::SchedulerKind kind, std::size_t nodes) {
   return r;
 }
 
+/// kRowRepeats children of one row: the median-wall sample, with the
+/// minimum wall beside it and the first child's peak RSS.
+Row measure_row(exp::SchedulerKind kind, std::size_t nodes) {
+  std::vector<Row> samples;
+  for (int i = 0; i < kRowRepeats; ++i)
+    samples.push_back(measure_in_child(kind, nodes));
+  const double first_rss = samples.front().peak_rss_mib;
+  std::sort(samples.begin(), samples.end(), [](const Row& a, const Row& b) {
+    return a.wall_seconds < b.wall_seconds;
+  });
+  Row r = samples[samples.size() / 2];
+  r.wall_min_seconds = samples.front().wall_seconds;
+  r.peak_rss_mib = first_rss;
+  return r;
+}
+
 struct SweepRow {
   std::size_t seeds = 0;
   unsigned threads = 0;
-  double wall_parallel_s = 0.0;
-  double wall_serial_s = 0.0;
-  double seeds_per_min = 0.0;  ///< at `threads` workers
-  double speedup = 0.0;        ///< serial wall / parallel wall
+  double wall_parallel_s = 0.0;      ///< median over the repeats
+  double wall_parallel_min_s = 0.0;  ///< minimum over the repeats
+  double wall_serial_s = 0.0;        ///< median over the repeats
+  double wall_serial_min_s = 0.0;    ///< minimum over the repeats
+  double seeds_per_min = 0.0;  ///< at `threads` workers, median wall
+  double speedup = 0.0;        ///< median serial wall / median parallel wall
 };
 
 SweepRow measure_sweep() {
@@ -176,17 +209,22 @@ SweepRow measure_sweep() {
   r.seeds = kSeeds;
   r.threads = kThreads;
 
-  sweep.threads = kThreads;
-  auto t0 = std::chrono::steady_clock::now();  // lint-ok: wall-clock
-  exp::sweep_seeds(fleet, exp::SchedulerKind::kEAnt, cfg, jobs, seeds, sweep);
-  auto t1 = std::chrono::steady_clock::now();  // lint-ok: wall-clock
-  r.wall_parallel_s = std::chrono::duration<double>(t1 - t0).count();
-
-  sweep.threads = 1;
-  t0 = std::chrono::steady_clock::now();  // lint-ok: wall-clock
-  exp::sweep_seeds(fleet, exp::SchedulerKind::kEAnt, cfg, jobs, seeds, sweep);
-  t1 = std::chrono::steady_clock::now();  // lint-ok: wall-clock
-  r.wall_serial_s = std::chrono::duration<double>(t1 - t0).count();
+  const auto timed = [&](unsigned threads) {
+    sweep.threads = threads;
+    const auto t0 = std::chrono::steady_clock::now();  // lint-ok: wall-clock
+    exp::sweep_seeds(fleet, exp::SchedulerKind::kEAnt, cfg, jobs, seeds, sweep);
+    const auto t1 = std::chrono::steady_clock::now();  // lint-ok: wall-clock
+    return std::chrono::duration<double>(t1 - t0).count();
+  };
+  std::vector<double> parallel, serial;
+  for (int i = 0; i < kSweepRepeats; ++i) {
+    parallel.push_back(timed(kThreads));
+    serial.push_back(timed(1));
+  }
+  r.wall_parallel_s = median(parallel);
+  r.wall_parallel_min_s = *std::min_element(parallel.begin(), parallel.end());
+  r.wall_serial_s = median(serial);
+  r.wall_serial_min_s = *std::min_element(serial.begin(), serial.end());
 
   r.seeds_per_min = r.wall_parallel_s > 0.0
                         ? 60.0 * static_cast<double>(kSeeds) / r.wall_parallel_s
@@ -207,22 +245,24 @@ int main(int argc, char** argv) {
   for (const exp::SchedulerKind kind :
        {exp::SchedulerKind::kEAnt, exp::SchedulerKind::kCapacity}) {
     for (std::size_t nodes : {16, 64, 256, 1024}) {
-      rows.push_back(measure_in_child(kind, nodes));
+      rows.push_back(measure_row(kind, nodes));
       const Row& r = rows.back();
       std::printf(
           "%-8s nodes=%4zu jobs=%3zu tasks=%6zu events=%9llu wall=%6.2fs "
-          "events/s=%9.0f rss=%6.1f MiB select/hb=%6.2fus\n",
+          "(min %6.2fs) events/s=%9.0f rss=%6.1f MiB select/hb=%6.2fus\n",
           exp::scheduler_kind_name(r.scheduler).c_str(), r.nodes, r.jobs,
           r.tasks, static_cast<unsigned long long>(r.events), r.wall_seconds,
-          r.events_per_sec, r.peak_rss_mib, r.select_us_per_heartbeat);
+          r.wall_min_seconds, r.events_per_sec, r.peak_rss_mib,
+          r.select_us_per_heartbeat);
     }
   }
 
   const SweepRow sweep = measure_sweep();
   std::printf(
-      "sweep    seeds=%3zu threads=%u wall=%6.2fs serial=%6.2fs "
-      "seeds/min=%6.1f speedup=%4.2fx\n",
-      sweep.seeds, sweep.threads, sweep.wall_parallel_s, sweep.wall_serial_s,
+      "sweep    seeds=%3zu threads=%u wall=%6.3fs (min %6.3fs) "
+      "serial=%6.3fs (min %6.3fs) seeds/min=%6.1f speedup=%4.2fx\n",
+      sweep.seeds, sweep.threads, sweep.wall_parallel_s,
+      sweep.wall_parallel_min_s, sweep.wall_serial_s, sweep.wall_serial_min_s,
       sweep.seeds_per_min, sweep.speedup);
 
   std::FILE* out = std::fopen(out_path.c_str(), "w");
@@ -230,14 +270,18 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot open %s for writing\n", out_path.c_str());
     return 1;
   }
-  std::fprintf(out, "{\n  \"bench\": \"perf_smoke\",\n  \"rows\": [\n");
+  std::fprintf(out,
+               "{\n  \"bench\": \"perf_smoke\",\n  \"row_repeats\": %d, "
+               "\"sweep_repeats\": %d,\n  \"rows\": [\n",
+               kRowRepeats, kSweepRepeats);
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     std::fprintf(out,
                  "    {\"scheduler\": \"%s\", \"nodes\": %zu, \"jobs\": %zu, "
                  "\"tasks\": %zu, "
                  "\"events\": %llu, \"sim_makespan_s\": %.3f, "
-                 "\"wall_s\": %.3f, \"events_per_s\": %.0f, "
+                 "\"wall_s\": %.3f, \"wall_min_s\": %.3f, "
+                 "\"events_per_s\": %.0f, "
                  "\"peak_rss_mib\": %.1f, "
                  "\"heartbeats\": %llu, \"select_job_calls\": %llu, "
                  "\"select_job_wall_s\": %.4f, "
@@ -245,7 +289,8 @@ int main(int argc, char** argv) {
                  exp::scheduler_kind_name(r.scheduler).c_str(), r.nodes,
                  r.jobs, r.tasks, static_cast<unsigned long long>(r.events),
                  r.sim_makespan,
-                 r.wall_seconds, r.events_per_sec, r.peak_rss_mib,
+                 r.wall_seconds, r.wall_min_seconds, r.events_per_sec,
+                 r.peak_rss_mib,
                  static_cast<unsigned long long>(r.heartbeats),
                  static_cast<unsigned long long>(r.select_job_calls),
                  r.select_job_wall_s, r.select_us_per_heartbeat,
@@ -253,10 +298,12 @@ int main(int argc, char** argv) {
   }
   std::fprintf(out,
                "  ],\n  \"sweep\": {\"seeds\": %zu, \"threads\": %u, "
-               "\"wall_s\": %.3f, \"serial_wall_s\": %.3f, "
+               "\"wall_s\": %.3f, \"wall_min_s\": %.3f, "
+               "\"serial_wall_s\": %.3f, \"serial_wall_min_s\": %.3f, "
                "\"seeds_per_min_4t\": %.2f, \"speedup\": %.2f}\n",
                sweep.seeds, sweep.threads, sweep.wall_parallel_s,
-               sweep.wall_serial_s, sweep.seeds_per_min, sweep.speedup);
+               sweep.wall_parallel_min_s, sweep.wall_serial_s,
+               sweep.wall_serial_min_s, sweep.seeds_per_min, sweep.speedup);
   std::fprintf(out, "}\n");
   std::fclose(out);
   std::printf("wrote %s\n", out_path.c_str());

@@ -141,12 +141,10 @@ std::vector<BlockId> NameNode::create_file(Megabytes size,
 
     const BlockId id = blocks_.size();
     ids.push_back(id);
-    const bool short_placed =
-        nodes.size() < static_cast<std::size_t>(replication_);
     blocks_.push_back(BlockInfo{this_block, std::move(nodes)});
     // Created short (dead datanodes shrank the candidate pool): queue for
     // re-replication once capacity returns.
-    if (short_placed) under_replicated_.insert(id);
+    queue_if_short(id);
   }
   return ids;
 }
@@ -167,16 +165,24 @@ void NameNode::drop_replica(BlockId id, cluster::MachineId node) {
   BlockInfo& b = blocks_[id];
   auto it = std::find(b.locations.begin(), b.locations.end(), node);
   if (it == b.locations.end()) return;
+  under_replicated_.erase({b.locations.size(), id});
   b.locations.erase(it);
   --per_node_counts_[node];
   --per_rack_counts_[racks_[node]];
   if (b.locations.empty()) {
     // Last replica gone: permanent data loss, recorded, never re-queued.
-    under_replicated_.erase(id);
     lost_blocks_.push_back(id);
-  } else if (b.locations.size() < static_cast<std::size_t>(replication_)) {
-    under_replicated_.insert(id);
+  } else {
+    // Re-keyed under the new count; a block that was queued was short, so
+    // it stays queued.
+    queue_if_short(id);
   }
+}
+
+void NameNode::queue_if_short(BlockId id) {
+  const std::size_t live = blocks_[id].locations.size();
+  if (live > 0 && live < static_cast<std::size_t>(replication_))
+    under_replicated_.insert({live, id});
 }
 
 void NameNode::mark_datanode_alive(cluster::MachineId machine) {
@@ -230,15 +236,12 @@ std::optional<cluster::MachineId> NameNode::pick_rereplication_target(
 
 std::optional<NameNode::ReplicationWork> NameNode::next_rereplication() {
   // Priority: fewest live replicas first (a one-replica block is one failure
-  // away from data loss), block id as the deterministic tie-break (std::set
-  // iteration order is ascending, stable_sort keeps it).
-  std::vector<BlockId> queue(under_replicated_.begin(),
-                             under_replicated_.end());
-  std::stable_sort(queue.begin(), queue.end(), [&](BlockId a, BlockId b) {
-    return blocks_[a].locations.size() < blocks_[b].locations.size();
-  });
-  for (BlockId id : queue) {
-    if (blocks_[id].locations.empty()) continue;  // raced into loss
+  // away from data loss), block id as the deterministic tie-break — exactly
+  // the set's (live replicas, block id) key order.  Lost blocks are never
+  // queued.
+  for (auto qit = under_replicated_.begin(); qit != under_replicated_.end();
+       ++qit) {
+    const BlockId id = qit->second;
     // Never clone a rotten replica: the copy would checksum-fail at the
     // source (real HDFS verifies before streaming) and only propagate bad
     // bytes if it didn't.  No clean holder right now → the block stays
@@ -255,24 +258,26 @@ std::optional<NameNode::ReplicationWork> NameNode::next_rereplication() {
       const bool s_rack_local = racks_[source] == racks_[*target];
       if (n_rack_local && !s_rack_local) source = n;
     }
-    under_replicated_.erase(id);
+    under_replicated_.erase(qit);
     return ReplicationWork{id, source, *target};
   }
   return std::nullopt;
 }
 
-void NameNode::add_replica(BlockId id, cluster::MachineId node) {
+bool NameNode::add_replica(BlockId id, cluster::MachineId node) {
   EANT_CHECK(id < blocks_.size(), "unknown block id");
   EANT_CHECK(node < num_datanodes_, "unknown datanode");
   BlockInfo& b = blocks_[id];
-  EANT_CHECK(std::find(b.locations.begin(), b.locations.end(), node) ==
-                 b.locations.end(),
-             "node already holds a replica of the block");
-  if (!alive_[node]) {
-    // Target was declared dead while the copy ran; the bytes are gone.
+  // Target declared dead while the copy ran (the bytes are gone), or an
+  // earlier grant of the same block already landed there: nothing new to
+  // register.
+  if (!alive_[node] ||
+      std::find(b.locations.begin(), b.locations.end(), node) !=
+          b.locations.end()) {
     requeue_rereplication(id);
-    return;
+    return false;
   }
+  under_replicated_.erase({b.locations.size(), id});
   b.locations.push_back(node);
   ++per_node_counts_[node];
   ++per_rack_counts_[racks_[node]];
@@ -283,19 +288,13 @@ void NameNode::add_replica(BlockId id, cluster::MachineId node) {
     if (it->second.empty()) corrupt_.erase(it);
   }
   mutated_ = true;
-  if (b.locations.size() < static_cast<std::size_t>(replication_)) {
-    under_replicated_.insert(id);  // still short: another round
-  } else {
-    under_replicated_.erase(id);
-  }
+  queue_if_short(id);  // still short: another round
+  return true;
 }
 
 void NameNode::requeue_rereplication(BlockId id) {
   EANT_CHECK(id < blocks_.size(), "unknown block id");
-  const BlockInfo& b = blocks_[id];
-  if (b.locations.empty()) return;  // lost meanwhile; never re-queued
-  if (b.locations.size() < static_cast<std::size_t>(replication_))
-    under_replicated_.insert(id);
+  queue_if_short(id);  // a block lost meanwhile is never re-queued
 }
 
 bool NameNode::rereplication_possible(BlockId id) const {
@@ -445,13 +444,7 @@ void NameNode::restore(const Snapshot& snap) {
 
 void NameNode::rebuild_under_replication() {
   under_replicated_.clear();
-  for (BlockId id = 0; id < blocks_.size(); ++id) {
-    const BlockInfo& b = blocks_[id];
-    if (b.locations.empty()) continue;  // lost: recorded, never re-queued
-    if (b.locations.size() < static_cast<std::size_t>(replication_)) {
-      under_replicated_.insert(id);
-    }
-  }
+  for (BlockId id = 0; id < blocks_.size(); ++id) queue_if_short(id);
 }
 
 std::size_t NameNode::rack_of(cluster::MachineId machine) const {

@@ -14,9 +14,10 @@
 // Degraded mode: mark_datanode_dead() drops a dead node's replicas, records
 // blocks whose last replica vanished as lost (data loss is never silent) and
 // queues the rest for prioritized re-replication — fewest-live-replicas
-// first, rack-aware re-placement, one work item per block at a time.  The
-// JobTracker drains next_rereplication() into real fabric flows and confirms
-// with add_replica() / requeue_rereplication().  Placement of *new* files
+// first, rack-aware re-placement; a granted block leaves the queue until the
+// copy is confirmed or given back.  The JobTracker drains
+// next_rereplication() into real fabric flows and confirms with
+// add_replica() / requeue_rereplication().  Placement of *new* files
 // skips dead datanodes.  Re-replication targets come from a dedicated forked
 // RNG stream, so degraded-mode traffic never perturbs file-creation draws.
 //
@@ -40,6 +41,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "cluster/machine.h"
@@ -152,7 +154,7 @@ class NameNode {
 
   /// True iff the block sits in the re-replication queue right now.
   bool queued_for_rereplication(BlockId id) const {
-    return under_replicated_.count(id) > 0;
+    return under_replicated_.count({live_replicas(id), id}) > 0;
   }
 
   /// Highest-priority satisfiable work item (fewest live replicas first,
@@ -164,8 +166,12 @@ class NameNode {
   std::optional<ReplicationWork> next_rereplication();
 
   /// Registers a freshly copied replica on `node` and, if the block is still
-  /// short, re-queues it for another round.
-  void add_replica(BlockId id, cluster::MachineId node);
+  /// short, re-queues it for another round.  Returns false when nothing was
+  /// registered: the target died while the copy ran, or it already holds the
+  /// block (copies in flight are not tracked, so a block re-queued by another
+  /// holder's death can be granted to the same target twice).  Either way the
+  /// block is re-queued if it is still short.
+  bool add_replica(BlockId id, cluster::MachineId node);
 
   /// Returns a block to the under-replication queue after a failed copy.
   void requeue_rereplication(BlockId id);
@@ -221,6 +227,10 @@ class NameNode {
     std::vector<cluster::MachineId> locations;
   };
 
+  /// Re-replication queue entry: (live replica count, block id).  Set order
+  /// is pick priority — fewest live replicas first, block id as tie-break.
+  using QueueKey = std::pair<std::size_t, BlockId>;
+
   /// Full mutable state of the NameNode — the fsimage + edit-log analogue.
   /// The RNG streams and the immutable shape (datanode count, replication,
   /// racks) are not part of the snapshot: a restarted NameNode is the same
@@ -232,7 +242,7 @@ class NameNode {
     std::vector<std::size_t> per_node_counts;
     std::vector<std::size_t> per_rack_counts;
     std::vector<bool> alive;
-    std::set<BlockId> under_replicated;
+    std::set<QueueKey> under_replicated;
     std::vector<BlockId> lost_blocks;
     bool mutated = false;
   };
@@ -272,6 +282,9 @@ class NameNode {
 
   void drop_replica(BlockId id, cluster::MachineId node);
 
+  /// Queues the block under its current key if it is short and not lost.
+  void queue_if_short(BlockId id);
+
   Rng rng_;
   Rng rerep_rng_;  ///< dedicated stream for re-replication target draws
   std::size_t num_datanodes_;
@@ -282,8 +295,11 @@ class NameNode {
   std::vector<std::size_t> per_node_counts_;
   std::vector<std::size_t> per_rack_counts_;
   std::vector<bool> alive_;
-  // std::set: next_rereplication scans in block-id order (deterministic).
-  std::set<BlockId> under_replicated_;
+  // Keyed by (live replicas, block id), so next_rereplication walks the set
+  // in pick order.  Invariant: a queued block's key equals its current
+  // locations.size(); every change to a queued block's locations erases the
+  // old key first.
+  std::set<QueueKey> under_replicated_;
   std::vector<BlockId> lost_blocks_;
   // Physical disk truth: silently rotten replicas, by block.  Ordered
   // containers keep every iteration deterministic.  Not part of Snapshot

@@ -1318,10 +1318,10 @@ void JobTracker::finish_rereplication(net::FlowId id, hdfs::BlockId block,
                                       Megabytes mb) {
   rerep_flows_.erase(id);
   if (rerep_active_ > 0) --rerep_active_;
-  // The target may have been declared dead while the copy was in flight;
+  // The target may have been declared dead while the copy was in flight, or
+  // an earlier grant of the same block may already have landed there;
   // add_replica then re-queues the block instead of registering the copy.
-  namenode_.add_replica(block, target);
-  if (namenode_.is_local(block, target)) {
+  if (namenode_.add_replica(block, target)) {
     ++counters_.rereplicated_blocks;
     counters_.rereplication_mb += mb;
     // The fresh bytes replace any undetected rot this node still held for

@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <optional>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
@@ -319,6 +321,210 @@ TEST(NameNodeDegraded, NewFilePlacementSkipsDeadNodes) {
   nn.mark_datanode_alive(6);
   nn.create_file(64.0 * 60);
   EXPECT_GT(nn.blocks_per_node()[6], 0u);
+}
+
+TEST(NameNodeDegraded, DoubleGrantToSameTargetLandsOnce) {
+  // Copies in flight are not tracked: a granted block whose other holder dies
+  // is re-queued as the most endangered block and granted again, possibly to
+  // the same target.  The second copy must land as a no-op, not abort.
+  std::size_t double_grants = 0;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    NameNode nn(Rng(seed), 8);
+    const BlockId blk = nn.create_file(64.0)[0];
+    nn.mark_datanode_dead(nn.locations(blk).front());
+    const auto first = nn.next_rereplication();
+    ASSERT_TRUE(first.has_value());
+    ASSERT_EQ(first->block, blk);
+    ASSERT_EQ(nn.live_replicas(blk), 2u);
+    const auto& locs = nn.locations(blk);
+    const cluster::MachineId other =
+        locs[0] == first->source ? locs[1] : locs[0];
+    nn.mark_datanode_dead(other);
+    ASSERT_TRUE(nn.queued_for_rereplication(blk));
+    const auto second = nn.next_rereplication();
+    ASSERT_TRUE(second.has_value());
+    ASSERT_EQ(second->block, blk);
+    if (second->target != first->target) continue;
+    ++double_grants;
+
+    EXPECT_TRUE(nn.add_replica(blk, first->target));
+    EXPECT_EQ(nn.live_replicas(blk), 2u);
+    EXPECT_FALSE(nn.add_replica(blk, second->target));
+    EXPECT_EQ(nn.live_replicas(blk), 2u);
+    EXPECT_EQ(nn.blocks_per_node()[first->target], 1u);
+    // Still short after the no-op: queued once, under its current count.
+    EXPECT_TRUE(nn.queued_for_rereplication(blk));
+    EXPECT_EQ(nn.under_replicated_count(), 1u);
+    drain_rereplication(nn);
+    const auto& done = nn.locations(blk);
+    EXPECT_EQ(done.size(), 3u);
+    EXPECT_EQ(std::set<cluster::MachineId>(done.begin(), done.end()).size(),
+              3u);
+  }
+  EXPECT_GT(double_grants, 0u);
+}
+
+// Brute-force reference for next_rereplication's pick: every queued block
+// sorted by (live replicas, id), the first with a clean source and a live
+// non-holder target.
+std::optional<BlockId> reference_pick(const NameNode& nn) {
+  std::vector<std::pair<std::size_t, BlockId>> queue;
+  for (BlockId b = 0; b < nn.num_blocks(); ++b) {
+    if (nn.queued_for_rereplication(b))
+      queue.emplace_back(nn.live_replicas(b), b);
+  }
+  std::sort(queue.begin(), queue.end());
+  for (const auto& [live, b] : queue) {
+    if (!nn.clean_locations(b).empty() && nn.rereplication_possible(b))
+      return b;
+  }
+  return std::nullopt;
+}
+
+// The keyed queue against the rules it must keep, after every step of a
+// random mutation sequence: no stale keys, only short live blocks queued,
+// every short live block not in flight queued, and the pick order of the
+// brute-force reference.
+TEST(NameNodeDegraded, KeyedQueueMatchesBruteForceUnderRandomMutation) {
+  constexpr std::size_t kNodes = 8;
+  std::size_t duplicate_landings = 0;  // copies landing on a holder
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    SCOPED_TRACE(seed);
+    const std::vector<std::size_t> racks =
+        seed % 2 == 0 ? std::vector<std::size_t>{0, 0, 0, 0, 1, 1, 1, 1}
+                      : std::vector<std::size_t>{};
+    NameNode nn(Rng(seed), kNodes, 3, racks);
+    Rng drive(seed + 1000);
+    const auto pick = [&](std::size_t n) {
+      return static_cast<std::size_t>(
+          drive.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+    };
+    std::vector<NameNode::ReplicationWork> in_flight;
+    std::optional<NameNode::Snapshot> snap;
+    nn.create_file(64.0 * 12);
+
+    const auto alive_nodes = [&](bool alive) {
+      std::vector<cluster::MachineId> out;
+      for (cluster::MachineId n = 0; n < kNodes; ++n)
+        if (nn.datanode_alive(n) == alive) out.push_back(n);
+      return out;
+    };
+    const auto grant = [&] {
+      const std::optional<BlockId> expected = reference_pick(nn);
+      const auto work = nn.next_rereplication();
+      ASSERT_EQ(work.has_value(), expected.has_value());
+      if (!work) return;
+      EXPECT_EQ(work->block, *expected);
+      const auto clean = nn.clean_locations(work->block);
+      EXPECT_NE(std::find(clean.begin(), clean.end(), work->source),
+                clean.end());
+      EXPECT_TRUE(nn.datanode_alive(work->target));
+      EXPECT_FALSE(nn.is_local(work->block, work->target));
+      in_flight.push_back(*work);
+    };
+    // `complete`: also require every short live block not in flight to be
+    // queued (false between a restore and the rebuild that follows it).
+    const auto check = [&](bool complete) {
+      std::size_t queued = 0;
+      for (BlockId b = 0; b < nn.num_blocks(); ++b) {
+        const std::size_t live = nn.live_replicas(b);
+        const bool is_short = live > 0 && live < kDefaultReplication;
+        const bool flying =
+            std::any_of(in_flight.begin(), in_flight.end(),
+                        [&](const auto& w) { return w.block == b; });
+        if (nn.queued_for_rereplication(b)) {
+          ++queued;
+          EXPECT_TRUE(is_short) << "queued block " << b << " is not short";
+        } else if (complete) {
+          EXPECT_FALSE(is_short && !flying)
+              << "short block " << b << " is neither queued nor in flight";
+        }
+      }
+      EXPECT_EQ(queued, nn.under_replicated_count()) << "stale queue key";
+    };
+
+    for (int step = 0; step < 300; ++step) {
+      const std::size_t op = pick(8);
+      SCOPED_TRACE(op);
+      switch (op) {
+        case 0:
+          if (!alive_nodes(true).empty())
+            nn.create_file(64.0 * static_cast<double>(1 + pick(3)));
+          break;
+        case 1: {
+          const auto alive = alive_nodes(true);
+          if (alive.size() > 3)
+            nn.mark_datanode_dead(alive[pick(alive.size())]);
+          break;
+        }
+        case 2: {
+          const auto dead = alive_nodes(false);
+          if (!dead.empty()) nn.mark_datanode_alive(dead[pick(dead.size())]);
+          break;
+        }
+        case 3: {
+          const BlockId b = pick(nn.num_blocks());
+          const auto& locs = nn.locations(b);
+          if (locs.empty()) break;
+          const cluster::MachineId node = locs[pick(locs.size())];
+          nn.corrupt_replica(b, node);
+          if (drive.bernoulli(0.5)) nn.confirm_corrupt(b, node);
+          break;
+        }
+        case 4:
+          grant();
+          break;
+        case 5: {
+          // Land or give back one copy in flight (its target may have died
+          // meanwhile, or an earlier grant may already have landed there).
+          if (in_flight.empty()) break;
+          const std::size_t i = pick(in_flight.size());
+          const NameNode::ReplicationWork w = in_flight[i];
+          in_flight.erase(in_flight.begin() + static_cast<std::ptrdiff_t>(i));
+          const bool target_held = nn.is_local(w.block, w.target);
+          const bool target_alive = nn.datanode_alive(w.target);
+          if (drive.bernoulli(0.8)) {
+            if (target_alive && target_held) ++duplicate_landings;
+            EXPECT_EQ(nn.add_replica(w.block, w.target),
+                      target_alive && !target_held);
+          } else {
+            nn.requeue_rereplication(w.block);
+          }
+          break;
+        }
+        case 6: {
+          // The double-grant set-up: a holder other than the source of a
+          // copy in flight dies, and the block is granted again.
+          if (in_flight.empty()) break;
+          const NameNode::ReplicationWork w = in_flight[pick(in_flight.size())];
+          const std::vector<cluster::MachineId> holders = nn.locations(w.block);
+          for (cluster::MachineId n : holders) {
+            if (n != w.source && alive_nodes(true).size() > 3) {
+              nn.mark_datanode_dead(n);
+              break;
+            }
+          }
+          check(true);
+          grant();
+          break;
+        }
+        default:
+          if (!snap || drive.bernoulli(0.5)) {
+            snap = nn.snapshot();
+            break;
+          }
+          nn.restore(*snap);
+          std::erase_if(in_flight, [&](const auto& w) {
+            return w.block >= nn.num_blocks();
+          });
+          check(false);
+          nn.rebuild_under_replication();
+          break;
+      }
+      check(true);
+    }
+  }
+  EXPECT_GT(duplicate_landings, 0u);
 }
 
 }  // namespace
