@@ -1,16 +1,18 @@
 // perf_smoke — the simulator-throughput baseline for the scale arc.
 //
 // Runs a homogeneous Terasort batch at four fleet sizes under E-Ant and
-// Capacity and emits BENCH_perf_smoke.json: simulated events per wall-clock
-// second, wall-clock seconds, peak RSS, and the scheduler-work attribution
-// (time inside Scheduler::select_job, per processed heartbeat) against node
-// and task count.  Future scale/speed PRs diff their numbers against this
+// Capacity, and under Fair on the oversubscribed 4-rack fabric at 64 and 256
+// nodes (so the network model's cost is tracked too), and emits
+// BENCH_perf_smoke.json: simulated events per wall-clock second, wall-clock
+// seconds, peak RSS, and the scheduler-work attribution (time inside
+// Scheduler::select_job, per processed heartbeat) against node and task
+// count.  Future scale/speed PRs diff their numbers against this
 // file's committed trajectory; the absolute values are machine-dependent,
 // the shape (events/sec should stay roughly flat as the fleet grows, and
 // select_job time per heartbeat should not blow up with job count) is not.
 //
 // It also times the thread-per-seed sweep driver (exp/sweep.h): an 8-seed
-// audited sweep of a 16-node Terasort batch at 4 workers vs serial, emitted
+// audited sweep of a 256-node Terasort batch at 4 workers vs serial, emitted
 // as seeds/min — the wall-clock win every multi-seed bench (chaos_campaign,
 // continuous_traffic) inherits.  On a single-core runner the speedup is ~1;
 // the field still tracks driver overhead.
@@ -49,6 +51,10 @@ namespace {
 constexpr int kRowRepeats = 3;
 constexpr int kSweepRepeats = 5;
 
+const char* topology_name(bool oversubscribed) {
+  return oversubscribed ? "oversubscribed" : "none";
+}
+
 /// Median of an odd number of samples.
 double median(std::vector<double> v) {
   std::sort(v.begin(), v.end());
@@ -64,6 +70,7 @@ double peak_rss_mib() {
 
 struct Row {
   exp::SchedulerKind scheduler = exp::SchedulerKind::kEAnt;
+  bool oversubscribed = false;  ///< TopologySpec::oversubscribed(), else none
   std::size_t nodes = 0;
   std::size_t jobs = 0;
   std::size_t tasks = 0;
@@ -79,16 +86,20 @@ struct Row {
   double select_us_per_heartbeat = 0.0;
 };
 
-Row measure(exp::SchedulerKind kind, std::size_t nodes) {
+Row measure(exp::SchedulerKind kind, std::size_t nodes, bool oversubscribed) {
   // Work scales with the fleet: jobs proportional to nodes so every size
   // runs at comparable utilisation and the per-event cost is comparable.
-  const int jobs = static_cast<int>(nodes / 4);
+  // The 4-rack oversubscribed fabric is heavily contended, so its rows run a
+  // quarter of the jobs on a quarter of the input (256 nodes: ~0.6 s).
+  const int jobs = static_cast<int>(oversubscribed ? nodes / 16 : nodes / 4);
+  const double input_mb = oversubscribed ? 1000.0 : 4000.0;
   exp::RunConfig cfg;
   cfg.seed = 7;
   cfg.job_tracker.measure_scheduler_time = true;
+  if (oversubscribed) cfg.topology = net::TopologySpec::oversubscribed();
   exp::Run run(exp::homogeneous(cluster::catalog::xeon_e5(), nodes), kind,
                cfg);
-  run.submit(exp::job_batch(workload::AppKind::kTerasort, 4000.0, 8, jobs));
+  run.submit(exp::job_batch(workload::AppKind::kTerasort, input_mb, 8, jobs));
 
   const auto t0 = std::chrono::steady_clock::now();  // lint-ok: wall-clock
   run.execute();
@@ -96,6 +107,7 @@ Row measure(exp::SchedulerKind kind, std::size_t nodes) {
 
   Row r;
   r.scheduler = kind;
+  r.oversubscribed = oversubscribed;
   r.nodes = nodes;
   r.jobs = static_cast<std::size_t>(jobs);
   const exp::RunMetrics m = run.metrics();
@@ -129,7 +141,8 @@ static_assert(std::is_trivially_copyable_v<Row>);
 /// measure() in a forked child, which sends its row back over a pipe.  The
 /// parent never runs a simulation, so each child starts from the same small
 /// footprint and its ru_maxrss is the peak of this row alone.
-Row measure_in_child(exp::SchedulerKind kind, std::size_t nodes) {
+Row measure_in_child(exp::SchedulerKind kind, std::size_t nodes,
+                     bool oversubscribed) {
   int fds[2];
   if (pipe(fds) != 0) die("pipe");
   std::fflush(stdout);
@@ -137,7 +150,7 @@ Row measure_in_child(exp::SchedulerKind kind, std::size_t nodes) {
   if (pid < 0) die("fork");
   if (pid == 0) {
     close(fds[0]);
-    const Row r = measure(kind, nodes);
+    const Row r = measure(kind, nodes, oversubscribed);
     const char* p = reinterpret_cast<const char*>(&r);
     std::size_t left = sizeof r;
     while (left > 0) {
@@ -169,10 +182,11 @@ Row measure_in_child(exp::SchedulerKind kind, std::size_t nodes) {
 
 /// kRowRepeats children of one row: the median-wall sample, with the
 /// minimum wall beside it and the first child's peak RSS.
-Row measure_row(exp::SchedulerKind kind, std::size_t nodes) {
+Row measure_row(exp::SchedulerKind kind, std::size_t nodes,
+                bool oversubscribed) {
   std::vector<Row> samples;
   for (int i = 0; i < kRowRepeats; ++i)
-    samples.push_back(measure_in_child(kind, nodes));
+    samples.push_back(measure_in_child(kind, nodes, oversubscribed));
   const double first_rss = samples.front().peak_rss_mib;
   std::sort(samples.begin(), samples.end(), [](const Row& a, const Row& b) {
     return a.wall_seconds < b.wall_seconds;
@@ -199,8 +213,12 @@ SweepRow measure_sweep() {
   constexpr unsigned kThreads = 4;
   exp::RunConfig cfg;
   cfg.audit.enabled = true;  // digest on: the production sweep configuration
-  const auto jobs = exp::job_batch(workload::AppKind::kTerasort, 3000.0, 8, 3);
-  const auto fleet = exp::homogeneous(cluster::catalog::xeon_e5(), 16);
+  // Sized so the serial sweep lasts over half a second on a 4-core host: a
+  // sweep of millisecond runs measures thread start-up and host noise.
+  constexpr std::size_t kNodes = 256;
+  const auto jobs = exp::job_batch(workload::AppKind::kTerasort, 4000.0, 8,
+                                   static_cast<int>(kNodes / 4));
+  const auto fleet = exp::homogeneous(cluster::catalog::xeon_e5(), kNodes);
   std::vector<std::uint64_t> seeds;
   for (std::uint64_t s = 1; s <= kSeeds; ++s) seeds.push_back(s);
 
@@ -242,20 +260,27 @@ int main(int argc, char** argv) {
   cli.done();
 
   std::vector<Row> rows;
+  const auto add_row = [&rows](exp::SchedulerKind kind, std::size_t nodes,
+                               bool oversubscribed) {
+    rows.push_back(measure_row(kind, nodes, oversubscribed));
+    const Row& r = rows.back();
+    std::printf(
+        "%-8s %-14s nodes=%4zu jobs=%3zu tasks=%6zu events=%9llu "
+        "wall=%6.2fs (min %6.2fs) events/s=%9.0f rss=%6.1f MiB "
+        "select/hb=%6.2fus\n",
+        exp::scheduler_kind_name(r.scheduler).c_str(),
+        topology_name(r.oversubscribed), r.nodes, r.jobs, r.tasks,
+        static_cast<unsigned long long>(r.events), r.wall_seconds,
+        r.wall_min_seconds, r.events_per_sec, r.peak_rss_mib,
+        r.select_us_per_heartbeat);
+  };
   for (const exp::SchedulerKind kind :
        {exp::SchedulerKind::kEAnt, exp::SchedulerKind::kCapacity}) {
-    for (std::size_t nodes : {16, 64, 256, 1024}) {
-      rows.push_back(measure_row(kind, nodes));
-      const Row& r = rows.back();
-      std::printf(
-          "%-8s nodes=%4zu jobs=%3zu tasks=%6zu events=%9llu wall=%6.2fs "
-          "(min %6.2fs) events/s=%9.0f rss=%6.1f MiB select/hb=%6.2fus\n",
-          exp::scheduler_kind_name(r.scheduler).c_str(), r.nodes, r.jobs,
-          r.tasks, static_cast<unsigned long long>(r.events), r.wall_seconds,
-          r.wall_min_seconds, r.events_per_sec, r.peak_rss_mib,
-          r.select_us_per_heartbeat);
-    }
+    for (std::size_t nodes : {16, 64, 256, 1024}) add_row(kind, nodes, false);
   }
+  // 1024 nodes would take ~7 s a sample on this fabric; not a smoke row.
+  for (std::size_t nodes : {64, 256})
+    add_row(exp::SchedulerKind::kFair, nodes, true);
 
   const SweepRow sweep = measure_sweep();
   std::printf(
@@ -277,7 +302,8 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     std::fprintf(out,
-                 "    {\"scheduler\": \"%s\", \"nodes\": %zu, \"jobs\": %zu, "
+                 "    {\"scheduler\": \"%s\", \"topology\": \"%s\", "
+                 "\"nodes\": %zu, \"jobs\": %zu, "
                  "\"tasks\": %zu, "
                  "\"events\": %llu, \"sim_makespan_s\": %.3f, "
                  "\"wall_s\": %.3f, \"wall_min_s\": %.3f, "
@@ -286,9 +312,9 @@ int main(int argc, char** argv) {
                  "\"heartbeats\": %llu, \"select_job_calls\": %llu, "
                  "\"select_job_wall_s\": %.4f, "
                  "\"select_us_per_heartbeat\": %.3f}%s\n",
-                 exp::scheduler_kind_name(r.scheduler).c_str(), r.nodes,
-                 r.jobs, r.tasks, static_cast<unsigned long long>(r.events),
-                 r.sim_makespan,
+                 exp::scheduler_kind_name(r.scheduler).c_str(),
+                 topology_name(r.oversubscribed), r.nodes, r.jobs, r.tasks,
+                 static_cast<unsigned long long>(r.events), r.sim_makespan,
                  r.wall_seconds, r.wall_min_seconds, r.events_per_sec,
                  r.peak_rss_mib,
                  static_cast<unsigned long long>(r.heartbeats),

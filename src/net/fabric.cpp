@@ -19,9 +19,13 @@ constexpr double kRateTol = 1e-9;
 
 Fabric::Fabric(sim::Simulator& sim, Topology topology)
     : sim_(sim), topo_(std::move(topology)) {
+  link_factor_.assign(topo_.num_links(), 1.0);
+  link_capacity_.resize(topo_.num_links());
+  for (LinkId link = 0; link < topo_.num_links(); ++link)
+    link_capacity_[link] = topo_.capacity_mbps(link);
   link_load_.resize(topo_.num_links());
   link_active_.resize(topo_.num_links());
-  link_factor_.assign(topo_.num_links(), 1.0);
+  link_saturated_.resize(topo_.num_links());
 }
 
 Fabric::~Fabric() {
@@ -98,15 +102,9 @@ void Fabric::fail_flow(FlowId id) {
 
 bool Fabric::link_down(LinkId link) const { return link_factor_[link] <= 0.0; }
 
-bool Fabric::binds(LinkId link) const {
-  // A dead link binds (at zero); an unlimited healthy/degraded one never does.
-  return std::isfinite(effective_capacity_mbps(link));
-}
-
 double Fabric::effective_capacity_mbps(LinkId link) const {
-  const double factor = link_factor_[link];
-  if (factor <= 0.0) return 0.0;
-  return topo_.capacity_mbps(link) * factor;
+  EANT_CHECK(link < link_capacity_.size(), "unknown link");
+  return link_capacity_[link];
 }
 
 void Fabric::set_link_factor(LinkId link, double factor) {
@@ -116,6 +114,8 @@ void Fabric::set_link_factor(LinkId link, double factor) {
   if (approx_equal(factor, link_factor_[link])) return;
   advance_all();  // bytes moved at the old rates up to this instant
   link_factor_[link] = factor;
+  link_capacity_[link] =
+      factor <= 0.0 ? 0.0 : topo_.capacity_mbps(link) * factor;
   if (observer_) observer_->on_link_state(link, factor);
   reallocate();  // re-rates survivors; stranded flows get fail events at now
 }
@@ -212,71 +212,78 @@ void Fabric::reallocate() {
 
   // Progressive filling: raise every unfrozen flow's rate in lockstep; when
   // a flow hits its cap it freezes, and when a link saturates every flow
-  // crossing it freezes at the current (max-min fair) level.
-  std::fill(link_load_.begin(), link_load_.end(), 0.0);
-  std::fill(link_active_.begin(), link_active_.end(), std::size_t{0});
-
-  std::size_t unfrozen = 0;
+  // crossing it freezes at the current (max-min fair) level.  Only binding
+  // links (finite effective capacity; a dead link binds at zero) can freeze
+  // a flow, so each flow carries just its binding links, and the rounds
+  // visit just the binding links some flow crosses.
+  unfrozen_.clear();
+  unfrozen_links_.clear();
   for (auto& [id, flow] : flows_) {
     flow.rate_mbps = 0.0;
-    ++unfrozen;
-    for (LinkId link : flow.path) ++link_active_[link];
+    const auto begin = static_cast<std::uint32_t>(unfrozen_links_.size());
+    for (LinkId link : flow.path) {
+      if (!std::isfinite(link_capacity_[link])) continue;
+      if (link_active_[link]++ == 0) crossed_links_.push_back(link);
+      unfrozen_links_.push_back(link);
+    }
+    unfrozen_.push_back(
+        {&flow, begin, static_cast<std::uint32_t>(unfrozen_links_.size())});
   }
 
-  std::vector<bool> frozen(flows_.size(), false);
-  while (unfrozen > 0) {
+  while (!unfrozen_.empty()) {
     // Largest uniform rate increment the caps and link residuals allow.
     double inc = kUnlimitedMbps;
-    std::size_t i = 0;
-    for (auto& [id, flow] : flows_) {
-      if (!frozen[i]) inc = std::min(inc, flow.cap_mbps - flow.rate_mbps);
-      ++i;
-    }
-    for (LinkId link = 0; link < link_load_.size(); ++link) {
-      if (link_active_[link] == 0 || !binds(link)) continue;
-      const double residual = effective_capacity_mbps(link) - link_load_[link];
+    for (const Unfrozen& u : unfrozen_)
+      inc = std::min(inc, u.flow->cap_mbps - u.flow->rate_mbps);
+    for (LinkId link : crossed_links_) {
+      if (link_active_[link] == 0) continue;
+      const double residual = link_capacity_[link] - link_load_[link];
       inc = std::min(inc,
                      residual / static_cast<double>(link_active_[link]));
     }
     inc = std::max(inc, 0.0);  // float slack can drive the residual negative
 
-    // Apply the increment, then freeze whatever became binding.
-    i = 0;
-    for (auto& [id, flow] : flows_) {
-      if (!frozen[i]) {
-        flow.rate_mbps =
-            std::isinf(inc) ? flow.cap_mbps : flow.rate_mbps + inc;
-        for (LinkId link : flow.path) link_load_[link] += inc;
-      }
-      ++i;
+    // Apply the increment, then freeze whatever became binding.  A link's
+    // load takes `inc` once per crossing flow (not inc x count), so it is
+    // the same double as the plain all-flows loop computes.
+    for (const Unfrozen& u : unfrozen_) {
+      Flow& flow = *u.flow;
+      flow.rate_mbps = std::isinf(inc) ? flow.cap_mbps : flow.rate_mbps + inc;
+      for (std::uint32_t k = u.begin; k < u.end; ++k)
+        link_load_[unfrozen_links_[k]] += inc;
     }
-    i = 0;
-    for (auto& [id, flow] : flows_) {
-      if (!frozen[i]) {
-        bool stop = flow.rate_mbps >= flow.cap_mbps - kRateTol;
-        for (LinkId link : flow.path) {
-          if (binds(link) &&
-              link_load_[link] >= effective_capacity_mbps(link) - kRateTol)
-            stop = true;
-        }
-        if (stop) {
-          frozen[i] = true;
-          --unfrozen;
-          for (LinkId link : flow.path) --link_active_[link];
-        }
-      }
-      ++i;
+    for (LinkId link : crossed_links_) {
+      link_saturated_[link] =
+          link_active_[link] > 0 &&
+          link_load_[link] >= link_capacity_[link] - kRateTol;
     }
+    std::size_t kept = 0;
+    for (const Unfrozen& u : unfrozen_) {
+      bool stop = u.flow->rate_mbps >= u.flow->cap_mbps - kRateTol;
+      for (std::uint32_t k = u.begin; k < u.end && !stop; ++k)
+        stop = link_saturated_[unfrozen_links_[k]] != 0;
+      if (stop) {
+        for (std::uint32_t k = u.begin; k < u.end; ++k)
+          --link_active_[unfrozen_links_[k]];
+      } else {
+        unfrozen_[kept++] = u;
+      }
+    }
+    unfrozen_.resize(kept);
   }
 
   // Peak utilisation over binding links, observed at reallocation instants
-  // (rates are constant between instants, so this is the true peak).
-  for (LinkId link = 0; link < link_load_.size(); ++link) {
-    if (!binds(link) || link_down(link) || link_load_[link] <= 0.0) continue;
-    peak_utilization_ = std::max(
-        peak_utilization_,
-        std::min(1.0, link_load_[link] / effective_capacity_mbps(link)));
+  // (rates are constant between instants, so this is the true peak).  The
+  // loads are then cleared for the next call.
+  for (LinkId link : crossed_links_) {
+    if (!link_down(link) && link_load_[link] > 0.0) {
+      peak_utilization_ = std::max(
+          peak_utilization_,
+          std::min(1.0, link_load_[link] / link_capacity_[link]));
+    }
+    link_load_[link] = 0.0;
   }
+  crossed_links_.clear();
 
   // Reschedule every completion at the new rates.  A flow stranded on a
   // down link holds rate 0 and will never deliver another byte; it gets a

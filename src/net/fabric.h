@@ -191,8 +191,6 @@ class Fabric {
   void reallocate();
   void finish_flow(FlowId id);
   void account_bytes(TransferClass cls, Megabytes mb);
-  /// True iff this link can constrain flow rates right now.
-  bool binds(LinkId link) const;
   bool link_down(LinkId link) const;
 
   sim::Simulator& sim_;
@@ -206,6 +204,9 @@ class Fabric {
 
   // per-link capacity factors; 1 everywhere on a healthy fabric
   std::vector<double> link_factor_;
+  // per-link effective capacity (topology capacity x factor, 0 when down),
+  // refreshed by set_link_factor; infinite on links that never bind
+  std::vector<double> link_capacity_;
 
   // metrics accumulators
   Megabytes class_mb_[3] = {0.0, 0.0, 0.0};
@@ -215,9 +216,19 @@ class Fabric {
   double slowdown_sum_ = 0.0;
   double peak_utilization_ = 0.0;
 
-  // scratch buffers reused across reallocations
-  std::vector<double> link_load_;
-  std::vector<std::size_t> link_active_;
+  // Scratch reused across reallocations.  An unfrozen flow's binding links
+  // are unfrozen_links_[begin, end); the list stays in flow-id order.
+  struct Unfrozen {
+    Flow* flow;
+    std::uint32_t begin;
+    std::uint32_t end;
+  };
+  std::vector<Unfrozen> unfrozen_;
+  std::vector<LinkId> unfrozen_links_;
+  std::vector<LinkId> crossed_links_;  // binding links some flow crosses
+  std::vector<double> link_load_;      // zero outside reallocate()
+  std::vector<std::size_t> link_active_;  // unfrozen flows on each link
+  std::vector<std::uint8_t> link_saturated_;  // this round's freeze flag
 };
 
 }  // namespace eant::net

@@ -5,13 +5,19 @@
 // (5 min) and job arrivals are all events.  Events at equal timestamps run in
 // schedule order (FIFO), which keeps every experiment deterministic for a
 // fixed seed.
+//
+// The queue is an indexed binary heap of small (time, seq, slot) keys; the
+// callbacks live in a recycled slot table that also records each slot's heap
+// position, so cancel() removes an event in O(log n) instead of leaving a
+// tombstone to be popped later.  An id -> slot map is touched only on
+// schedule, cancel and pop.
 
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <unordered_set>
+#include <unordered_map>
+#include <variant>
 #include <vector>
 
 #include "common/error.h"
@@ -62,14 +68,11 @@ class Simulator {
   EventId schedule_periodic(Seconds interval, std::function<bool()> fn,
                             Seconds first_delay = -1.0);
 
-  /// Cancels a pending event; a no-op if it already fired or was cancelled.
-  /// Cancelling the event currently executing (a periodic callback cancelling
-  /// itself) stops its repetition.
-  void cancel(EventId id) {
-    // Only ids that are actually live may enter cancelled_, otherwise a
-    // stale id would sit in the set forever and skew pending().
-    if (queued_.contains(id) || id == executing_id_) cancelled_.insert(id);
-  }
+  /// Removes a pending event from the queue in O(log n).  A no-op if the id
+  /// already fired, was cancelled or was never scheduled.  Cancelling the event
+  /// currently executing stops a periodic event's repetition and is a no-op
+  /// for a one-shot.
+  void cancel(EventId id);
 
   /// Executes the next pending event; returns false when the queue is empty.
   bool step();
@@ -80,8 +83,8 @@ class Simulator {
   /// Runs until the queue drains.
   void run();
 
-  /// Number of live (not-yet-cancelled) pending events.
-  std::size_t pending() const { return queue_.size() - cancelled_.size(); }
+  /// Number of pending events (cancelled ones have left the queue).
+  std::size_t pending() const { return heap_.size(); }
 
   /// Total number of events executed so far (for perf reporting and tests).
   std::uint64_t executed() const { return executed_; }
@@ -92,29 +95,52 @@ class Simulator {
   void set_observer(SimObserver* observer) { observer_ = observer; }
 
  private:
-  struct Entry {
+  /// Heap entry: the (time, seq) total order plus the slot of the payload.
+  struct Key {
     Seconds time;
     std::uint64_t seq;  // tie-break: equal-time events fire in schedule order
-    EventId id;
-    std::function<void()> fn;
-    Seconds repeat_interval;          // 0 when one-shot
-    std::function<bool()> repeat_fn;  // set for periodic entries
+    std::uint32_t slot;
 
-    bool operator>(const Entry& other) const {
-      if (time != other.time) return time > other.time;
-      return seq > other.seq;
+    bool before(const Key& other) const {
+      if (time != other.time) return time < other.time;
+      return seq < other.seq;
     }
   };
 
-  void execute(Entry entry);
+  /// A one-shot callback, or a periodic one returning whether to repeat.
+  using Callback = std::variant<std::function<void()>, std::function<bool()>>;
 
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue_;
-  std::unordered_set<EventId> queued_;     // ids currently in the queue
-  std::unordered_set<EventId> cancelled_;  // always a subset of live ids
+  /// A queued event's payload; freed slots are reused by later schedules.
+  struct Slot {
+    EventId id = 0;
+    std::size_t heap_pos = 0;       // index of this slot's key in heap_
+    Seconds repeat_interval = 0.0;  // 0 when one-shot
+    Callback fn;
+  };
+
+  /// Queues an event under `id` at time t and notifies the observer.
+  void enqueue(Seconds t, EventId id, Seconds repeat_interval, Callback fn);
+  /// Removes the heap root, frees its slot and runs the event.
+  void pop_and_execute();
+  /// Takes heap_[pos] out of the heap, restoring the heap order.
+  void remove_at(std::size_t pos);
+  /// Moves `key` up (or down) from the hole at `pos` to its place.
+  void sift_up(std::size_t pos, Key key);
+  void sift_down(std::size_t pos, Key key);
+  void place(std::size_t pos, const Key& key) {
+    heap_[pos] = key;
+    slots_[key.slot].heap_pos = pos;
+  }
+
+  std::vector<Key> heap_;                  // binary min-heap on (time, seq)
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
+  std::unordered_map<EventId, std::uint32_t> slot_of_;  // queued ids only
   Seconds now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   EventId next_id_ = 1;
   EventId executing_id_ = 0;  // id of the event being executed (0 = none)
+  bool executing_cancelled_ = false;  // cancel(executing_id_) was called
   std::uint64_t executed_ = 0;
   SimObserver* observer_ = nullptr;
 };

@@ -1,15 +1,19 @@
 // Network fabric tests: topology paths, analytic max-min (water-filling)
 // fixtures, event-driven rate recomputation, determinism, the flat-topology
 // parity guarantee against the legacy scalar model, the Fig. 1(d) ordering
-// under oversubscription, and flow recovery when a serving machine crashes.
+// under oversubscription, flow recovery when a serving machine crashes, and a
+// bitwise differential test of progressive filling against a reference.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <vector>
 
 #include "cluster/catalog.h"
+#include "common/rng.h"
 #include "exp/builders.h"
 #include "exp/runner.h"
 #include "net/fabric.h"
@@ -199,6 +203,227 @@ TEST(Fabric, DeterministicUnderIdenticalCallSequences) {
     return completions;
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+// --- differential test of progressive filling -------------------------------
+
+/// Progressive filling as Fabric::reallocate computed it before its per-call
+/// link caches: every round walks every flow (with a frozen bitmap) and every
+/// link of the topology, calling the capacity lookups each time.  The oracle
+/// for the fabric's bit-identity: same arithmetic, same order, no shortcuts.
+class ReferenceFilling {
+ public:
+  explicit ReferenceFilling(const net::Topology& topo)
+      : topo_(topo),
+        factor_(topo.num_links(), 1.0),
+        load_(topo.num_links()),
+        active_(topo.num_links()) {}
+
+  void add(net::FlowId id, net::NodeId src, net::NodeId dst, double cap) {
+    Flow flow;
+    topo_.append_path(src, dst, flow.path);
+    flow.cap_mbps = cap;
+    flows_.emplace(id, std::move(flow));
+  }
+  void remove(net::FlowId id) { flows_.erase(id); }
+  void set_factor(net::LinkId link, double factor) { factor_[link] = factor; }
+
+  bool contains(net::FlowId id) const { return flows_.contains(id); }
+  std::size_t size() const { return flows_.size(); }
+  double rate(net::FlowId id) const { return flows_.at(id).rate_mbps; }
+  double peak() const { return peak_; }
+  std::vector<net::FlowId> ids() const {
+    std::vector<net::FlowId> out;
+    for (const auto& [id, flow] : flows_) out.push_back(id);
+    return out;
+  }
+
+  void reallocate() {
+    if (flows_.empty()) return;
+    std::fill(load_.begin(), load_.end(), 0.0);
+    std::fill(active_.begin(), active_.end(), std::size_t{0});
+    std::size_t unfrozen = 0;
+    for (auto& [id, flow] : flows_) {
+      flow.rate_mbps = 0.0;
+      ++unfrozen;
+      for (net::LinkId link : flow.path) ++active_[link];
+    }
+    std::vector<bool> frozen(flows_.size(), false);
+    while (unfrozen > 0) {
+      double inc = net::kUnlimitedMbps;
+      std::size_t i = 0;
+      for (auto& [id, flow] : flows_) {
+        if (!frozen[i]) inc = std::min(inc, flow.cap_mbps - flow.rate_mbps);
+        ++i;
+      }
+      for (net::LinkId link = 0; link < load_.size(); ++link) {
+        if (active_[link] == 0 || !binds(link)) continue;
+        const double residual = effective(link) - load_[link];
+        inc = std::min(inc, residual / static_cast<double>(active_[link]));
+      }
+      inc = std::max(inc, 0.0);
+      i = 0;
+      for (auto& [id, flow] : flows_) {
+        if (!frozen[i]) {
+          flow.rate_mbps =
+              std::isinf(inc) ? flow.cap_mbps : flow.rate_mbps + inc;
+          for (net::LinkId link : flow.path) load_[link] += inc;
+        }
+        ++i;
+      }
+      i = 0;
+      for (auto& [id, flow] : flows_) {
+        if (!frozen[i]) {
+          bool stop = flow.rate_mbps >= flow.cap_mbps - kRateTol;
+          for (net::LinkId link : flow.path) {
+            if (binds(link) && load_[link] >= effective(link) - kRateTol)
+              stop = true;
+          }
+          if (stop) {
+            frozen[i] = true;
+            --unfrozen;
+            for (net::LinkId link : flow.path) --active_[link];
+          }
+        }
+        ++i;
+      }
+    }
+    for (net::LinkId link = 0; link < load_.size(); ++link) {
+      if (!binds(link) || factor_[link] <= 0.0 || load_[link] <= 0.0) continue;
+      peak_ = std::max(peak_, std::min(1.0, load_[link] / effective(link)));
+    }
+  }
+
+ private:
+  static constexpr double kRateTol = 1e-9;  // the fabric's freeze slack
+
+  struct Flow {
+    std::vector<net::LinkId> path;
+    double cap_mbps = 0.0;
+    double rate_mbps = 0.0;
+  };
+
+  double effective(net::LinkId link) const {
+    if (factor_[link] <= 0.0) return 0.0;
+    return topo_.capacity_mbps(link) * factor_[link];
+  }
+  bool binds(net::LinkId link) const { return std::isfinite(effective(link)); }
+
+  const net::Topology& topo_;
+  std::vector<double> factor_;
+  std::map<net::FlowId, Flow> flows_;
+  std::vector<double> load_;
+  std::vector<std::size_t> active_;
+  double peak_ = 0.0;
+};
+
+struct FillingCoverage {
+  std::size_t compared = 0;     // rate comparisons made
+  std::size_t link_bound = 0;   // ... of flows held below their cap
+  std::size_t stranded = 0;     // ... of flows held at rate 0
+  std::size_t completed = 0;
+  std::size_t failed = 0;
+};
+
+/// Drives a Fabric and the reference through one random sequence of flow
+/// starts, completions (simulator steps), aborts, injected failures and
+/// link-factor changes, comparing every rate and the peak utilisation
+/// bitwise after each operation.
+void check_filling(const net::TopologySpec& spec, std::size_t nodes,
+                   std::uint64_t seed, FillingCoverage& cov) {
+  sim::Simulator sim;
+  const net::Topology topo(spec, nodes);
+  net::Fabric fabric(sim, topo);
+  ReferenceFilling ref(topo);
+  Rng rng(seed);
+  const auto pick_flow = [&]() -> net::FlowId {
+    const auto ids = ref.ids();
+    if (ids.empty()) return 0;
+    return ids[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(ids.size()) - 1))];
+  };
+  const auto node = [&] {
+    return static_cast<net::NodeId>(
+        rng.uniform_int(0, static_cast<std::int64_t>(nodes) - 1));
+  };
+  for (int op = 0; op < 500; ++op) {
+    const double u = rng.uniform();
+    if (u < 0.35) {
+      const net::NodeId src = node();
+      net::NodeId dst = node();
+      if (dst == src) dst = (src + 1) % nodes;
+      const double cap = rng.bernoulli(0.2) ? 5000.0 : rng.uniform(0.5, 120.0);
+      const net::FlowId id = fabric.start_flow(
+          src, dst, rng.uniform(1.0, 300.0), cap, net::TransferClass::kShuffle,
+          [&](net::FlowId done) {
+            ref.remove(done);
+            ++cov.completed;
+          },
+          [&](net::FlowId dead, Megabytes) {
+            ref.remove(dead);
+            ++cov.failed;
+          });
+      ref.add(id, src, dst, cap);
+    } else if (u < 0.43) {
+      const net::FlowId id = pick_flow();
+      fabric.abort_flow(id);
+      ref.remove(id);
+    } else if (u < 0.47) {
+      fabric.fail_flow(pick_flow());  // the failure handler updates ref
+    } else if (u < 0.60) {
+      const auto link = static_cast<net::LinkId>(rng.uniform_int(
+          0, static_cast<std::int64_t>(topo.num_links()) - 1));
+      const double v = rng.uniform();
+      const double factor = v < 0.40   ? 1.0
+                            : v < 0.55 ? 0.5
+                            : v < 0.65 ? 0.0
+                                       : rng.uniform(0.05, 1.0);
+      fabric.set_link_factor(link, factor);
+      ref.set_factor(link, fabric.link_factor(link));
+    } else {
+      sim.step();
+    }
+    // Re-filling an unchanged flow set reproduces the same rates and loads,
+    // so running the reference after an operation that did not reallocate
+    // the fabric leaves its rates and peak as they were.
+    ref.reallocate();
+    ASSERT_EQ(fabric.active_flows(), ref.size()) << "seed " << seed;
+    for (const net::FlowId id : ref.ids()) {
+      ASSERT_TRUE(fabric.active(id)) << "seed " << seed << " flow " << id;
+      EXPECT_EQ(fabric.flow_rate_mbps(id), ref.rate(id))
+          << "seed " << seed << " op " << op << " flow " << id;
+      ++cov.compared;
+      if (ref.rate(id) <= 0.0) {
+        ++cov.stranded;
+      } else if (ref.rate(id) < fabric.flow_cap_mbps(id)) {
+        ++cov.link_bound;
+      }
+    }
+    EXPECT_EQ(fabric.metrics().peak_link_utilization, ref.peak())
+        << "seed " << seed << " op " << op;
+  }
+}
+
+TEST(FabricDifferential, FillingMatchesReferenceBitwiseOnFlatTopology) {
+  FillingCoverage cov;
+  for (std::uint64_t seed = 1; seed <= 30; ++seed)
+    check_filling(net::TopologySpec::flat(), 12, seed, cov);
+  EXPECT_GT(cov.compared, 10000u);
+  EXPECT_GT(cov.stranded, 0u);  // dead access links strand flows
+  EXPECT_GT(cov.completed, 0u);
+  EXPECT_GT(cov.failed, 0u);
+}
+
+TEST(FabricDifferential,
+     FillingMatchesReferenceBitwiseOnOversubscribedTopology) {
+  FillingCoverage cov;
+  for (std::uint64_t seed = 1; seed <= 30; ++seed)
+    check_filling(net::TopologySpec::oversubscribed(), 16, seed, cov);
+  EXPECT_GT(cov.compared, 10000u);
+  EXPECT_GT(cov.link_bound, 1000u);  // links, not caps, set most rates
+  EXPECT_GT(cov.stranded, 0u);
+  EXPECT_GT(cov.completed, 0u);
+  EXPECT_GT(cov.failed, 0u);
 }
 
 // --- end-to-end: parity, ordering, recovery ---------------------------------

@@ -113,7 +113,7 @@ class LineRules(LintBase):
         self.assertEqual(self.lint("src/workload/x.h", body), [])
 
     def test_unordered_declaration_allowlist(self) -> None:
-        body = "std::unordered_set<EventId> queued_;\n"
+        body = "std::unordered_map<EventId, std::uint32_t> slot_of_;\n"
         self.assertEqual(self.lint("src/sim/simulator.h", body), [])
         self.assertIn("unordered-iter",
                       self.rules_of(self.lint("src/sim/other.h", body)))
